@@ -239,9 +239,12 @@ struct JobResult {
   GridVariant grid;  ///< the advanced grid (moved back out of the engine)
   RunStats stats;
   ClusterStats cluster;      ///< cluster backend only; default otherwise
-  Backend backend = Backend::sync_sim;  ///< path actually taken
+  /// Path actually taken. A program job whose nodes routed to different
+  /// backends reports `automatic` ("nodes routed differently").
+  Backend backend = Backend::sync_sim;
   /// True when the circuit breaker overrode the requested backend (the
-  /// job ran on the sync_sim fallback; `backend` reflects the override).
+  /// job -- or some program node -- ran on the sync_sim fallback;
+  /// `backend` reflects the override).
   bool rerouted = false;
   bool plan_cache_hit = false;
   /// True when the plan's geometry came from the host autotuner
@@ -260,8 +263,9 @@ struct JobResult {
   /// Chunks streamed through JobSpec::sink (0 when no sink was set).
   std::int64_t chunks_delivered = 0;
 
-  // ---- Program jobs only (JobSpec::program; docs/PROGRAMS.md). `grid`
-  // holds its 1x1 placeholder for these; the data lives in `fields`.
+  // ---- Program jobs (JobSpec::program; docs/PROGRAMS.md). `grid` holds
+  // its 1x1 placeholder for these; the data lives in `fields`. A
+  // single-stencil job counts as its one-node program: 1 node run, 1 step.
 
   /// Final state of every program field (work fields included), in
   /// declaration order. Empty for single-stencil jobs.

@@ -6,19 +6,11 @@
 
 #include "common/expect.hpp"
 #include "common/stopwatch.hpp"
-#include "core/block_parallel_accelerator.hpp"
-#include "core/concurrent_accelerator.hpp"
 #include "program/program_executor.hpp"
 #include "tune/host_autotuner.hpp"
 
 namespace fpga_stencil {
 namespace {
-
-/// Cells in whichever grid the variant holds.
-std::int64_t grid_cells(const GridVariant& g) {
-  return std::visit([](const auto& grid) { return std::int64_t(grid.size()); },
-                    g);
-}
 
 /// Cancel-latency buckets: trip -> terminal is bounded by one block's
 /// streaming time, so the interesting range is microseconds to tens of
@@ -36,27 +28,14 @@ std::vector<std::int64_t> cancel_latency_bounds_ns() {
 /// across calls; `final_grid` marks the stream's overall last band.
 void stream_grid_bands(const GridVariant& grid, const JobSpec& spec,
                        ResultChunk& chunk, bool final_grid) {
-  std::int64_t stride = 0, total = 0;
-  const float* base = nullptr;
-  if (grid.index() == 0) {
-    const Grid2D<float>& g = std::get<Grid2D<float>>(grid);
-    chunk.dims = 2;
-    chunk.nx = g.nx();
-    chunk.ny = g.ny();
-    chunk.nz = 1;
-    stride = g.nx();
-    total = g.ny();
-    base = g.data();
-  } else {
-    const Grid3D<float>& g = std::get<Grid3D<float>>(grid);
-    chunk.dims = 3;
-    chunk.nx = g.nx();
-    chunk.ny = g.ny();
-    chunk.nz = g.nz();
-    stride = g.nx() * g.ny();
-    total = g.nz();
-    base = g.data();
-  }
+  chunk.dims = grid_variant_dims(grid);
+  chunk.nx = grid_variant_nx(grid);
+  chunk.ny = grid_variant_ny(grid);
+  chunk.nz = grid_variant_nz(grid);
+  const std::int64_t stride =
+      chunk.dims == 2 ? chunk.nx : chunk.nx * chunk.ny;
+  const std::int64_t total = chunk.dims == 2 ? chunk.ny : chunk.nz;
+  const float* base = grid_variant_data(grid);
   const std::int64_t per_chunk =
       std::max<std::int64_t>(1, spec.chunk_values / std::max<std::int64_t>(
                                                         stride, 1));
@@ -71,26 +50,30 @@ void stream_grid_bands(const GridVariant& grid, const JobSpec& spec,
   }
 }
 
-/// Program-job delivery: every non-work field streams in declaration
-/// order as its own chunk run (ResultChunk::field names it); the ordinal
-/// stays continuous across fields and `last` marks the final band of the
-/// final deliverable field.
-void deliver_program_chunks(const JobSpec& spec, JobResult& result) {
-  const ProgramSpec& program = *spec.program;
-  std::size_t last_deliverable = program.fields.size();
-  for (std::size_t i = 0; i < program.fields.size(); ++i) {
-    if (!program.fields[i].work) last_deliverable = i;
+/// The one chunk deliverer: a single-stencil job streams its grid as one
+/// unnamed run; a program job streams every non-work field in
+/// declaration order as its own run (ResultChunk::field names it). The
+/// ordinal stays continuous across runs and `last` marks the final band
+/// of the final run.
+void stream_result_chunks(const JobSpec& spec, JobResult& result) {
+  std::vector<std::pair<std::string, const GridVariant*>> runs;
+  if (spec.program) {
+    for (std::size_t i = 0; i < result.fields.size(); ++i) {
+      if (spec.program->fields[i].work) continue;
+      runs.emplace_back(result.fields[i].first, &result.fields[i].second);
+    }
+  } else {
+    runs.emplace_back("", &result.grid);
   }
   ResultChunk chunk;
-  for (std::size_t i = 0; i < result.fields.size(); ++i) {
-    if (program.fields[i].work) continue;
-    chunk.field = result.fields[i].first;
-    stream_grid_bands(result.fields[i].second, spec, chunk,
-                      i == last_deliverable);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    chunk.field = runs[i].first;
+    stream_grid_bands(*runs[i].second, spec, chunk, i + 1 == runs.size());
   }
   result.chunks_delivered = chunk.index;
   if (spec.sink_only) {
-    // The stream was the delivery; free the server-side field copies now.
+    // The stream was the delivery; free the server-side copies now.
+    result.grid = Grid2D<float>(1, 1);
     result.fields.clear();
   }
 }
@@ -347,13 +330,12 @@ void StencilEngine::execute(detail::JobState& job, int worker_id) {
       m("job") + (spec.label.empty() ? "" : ":" + spec.label), worker_id,
       options_.metrics_prefix);
   const Stopwatch run_clock;
-  Backend backend_used = Backend::automatic;  // set once routing resolves
   try {
-    // One executor per job: the shared node runner over this engine's
-    // plan cache, pool, tuner and telemetry (src/program). Single-stencil
-    // jobs and program nodes resolve plans (with identical cache/tuner
-    // accounting) and run the single-board backends through this seam, so
-    // a single-stencil job really is the one-node-program special case.
+    // One executor per job: the node runner over this engine's plan
+    // cache, pool, tuner, breaker and telemetry (src/program). Every job
+    // runs through it: a single-stencil job is the one-node program over
+    // its own grid, which moves in uncopied; a program job's shared spec
+    // is copied in once.
     ProgramExecutor::Services services;
     services.plans = &plans_;
     services.pool = &pool_;
@@ -363,193 +345,62 @@ void StencilEngine::execute(detail::JobState& job, int worker_id) {
     services.metrics_prefix = options_.metrics_prefix;
     services.backend = spec.backend;
     services.workers = spec.workers;
+    services.node.channel_depth = spec.channel_depth;
+    services.node.injector = spec.injector;
+    services.node.watchdog_deadline = spec.watchdog_deadline;
+    services.node.resilience = spec.resilience;
+    services.node.cluster.boards = spec.boards;
+    services.node.cluster.device = spec.device;
+    services.node.cluster.link = spec.link;
+    services.breaker = &breaker_;
     ProgramExecutor exec(std::move(services));
-
-    if (spec.program) {
-      // Program job: the whole DAG advances as one QoS unit on this
-      // worker. The breaker stays out of the loop (per-node routing is
-      // the executor's, and ConfigErrors say nothing about backends).
-      ProgramOutcome outcome = exec.run(*spec.program, &job.token, worker_id);
-      JobResult result;
-      result.backend = spec.backend;  // per-node routing may differ
-      result.plan_cache_hit = outcome.all_plans_cached;
-      result.plan_tuned = outcome.any_plan_tuned;
-      result.kernel_fingerprint = outcome.fingerprint;
-      result.label = spec.label;
-      result.tenant = spec.tenant;
-      result.qos = spec.qos;
-      result.dispatch_seq = job.dispatch_seq;
-      result.queue_ns = queue_ns;
-      result.stats = outcome.stats;
-      result.fields = std::move(outcome.fields);
-      result.program_nodes_executed = outcome.nodes_executed;
-      result.program_steps = outcome.steps_executed;
-      if (spec.sink) deliver_program_chunks(spec, result);
-      result.run_ns = run_clock.nanoseconds();
-      record_job_metrics(*telemetry_, options_.metrics_prefix, queue_ns,
-                         result.run_ns, result.stats.cells_written);
-      telemetry_->metrics().counter(m("jobs_completed")).add(1);
-      finish(job, std::move(result));
-      return;
-    }
-
-    const std::int64_t nx =
-        std::visit([](const auto& g) { return g.nx(); }, spec.grid);
-    const std::int64_t ny =
-        std::visit([](const auto& g) { return g.ny(); }, spec.grid);
-    const std::int64_t nz =
-        spec.is_3d() ? std::get<Grid3D<float>>(spec.grid).nz() : 1;
-
-    bool hit = false;
-    const std::shared_ptr<const CachedPlan> plan = exec.resolve_plan(
-        spec.taps, spec.config, nx, ny, nz, &job.token, &hit);
-
-    // Routing. An automatic job with an injector goes to the resilient
-    // runner, never the bare concurrent pipeline: an injected stall
-    // without a watchdog would deadlock the pass. A fault-free
-    // single-board job fans out over overlapped blocks when the cached
-    // plan yields enough block-level work to keep every worker busy
-    // (>= 2 blocks per worker); smaller jobs stay on the sync simulator,
-    // whose single sweep beats spawning a starved pool.
-    Backend backend = spec.backend;
-    if (backend == Backend::automatic) {
-      if (spec.boards > 1) {
-        backend = Backend::cluster;
-      } else if (spec.injector != nullptr) {
-        backend = Backend::resilient;
-      } else {
-        backend = exec.route(*plan);
-      }
-    }
-
-    // The circuit breaker gets the last word: a backend with an open
-    // breaker hands its jobs to the sync_sim fallback until a half-open
-    // probe proves it healthy again.
-    const CircuitBreaker::Decision routed = breaker_.route(backend);
-    backend = routed.backend;
-    backend_used = backend;
-    if (routed.rerouted) {
-      telemetry_->metrics().counter(m("breaker_rerouted")).add(1);
-      telemetry_->tracer().instant(m("breaker_reroute"), worker_id,
-                                   options_.metrics_prefix);
-    }
-
-    // The cached config is hook-free; restore this job's telemetry hook.
-    AcceleratorConfig cfg = plan->config;
-    cfg.telemetry = spec.config.telemetry;
+    ProgramOutcome outcome = exec.run(
+        spec.program ? *spec.program
+                     : single_stencil_program(spec.taps, spec.config,
+                                              std::move(spec.grid),
+                                              spec.iterations),
+        &job.token, worker_id);
 
     JobResult result;
-    result.backend = backend;
-    result.rerouted = routed.rerouted;
-    result.plan_cache_hit = hit;
-    result.plan_tuned = plan->tuned;
-    result.kernel_fingerprint = plan->kernel_fingerprint;
+    result.backend = outcome.backend;
+    result.rerouted = outcome.rerouted;
+    result.plan_cache_hit = outcome.all_plans_cached;
+    result.plan_tuned = outcome.any_plan_tuned;
+    result.cluster = outcome.cluster;
     result.label = spec.label;
     result.tenant = spec.tenant;
     result.qos = spec.qos;
     result.dispatch_seq = job.dispatch_seq;
     result.queue_ns = queue_ns;
-
-    const std::int64_t cells = grid_cells(spec.grid);
-    std::visit(
-        [&](auto& grid) {
-          switch (backend) {
-            case Backend::automatic:  // resolved above; unreachable
-            case Backend::sync_sim:
-            case Backend::block_parallel: {
-              // The shared single-board arms (src/program): identical to
-              // what every program node runs through.
-              NodeRunOptions nopts;
-              nopts.injector = spec.injector;
-              nopts.watchdog_deadline = spec.watchdog_deadline;
-              result.stats =
-                  exec.run_planned(spec.taps, cfg, backend, grid,
-                                   spec.iterations, &job.token, nopts);
-              break;
-            }
-            case Backend::concurrent: {
-              BufferPool::Lease lease(pool_, std::size_t(cells));
-              RunOptions ropts;
-              ropts.channel_depth = spec.channel_depth;
-              ropts.injector = spec.injector;
-              ropts.watchdog_deadline = spec.watchdog_deadline;
-              ropts.scratch = &lease.buffer();
-              ropts.cancel = job.token;
-              result.stats =
-                  run_concurrent(spec.taps, cfg, grid, spec.iterations, ropts);
-              break;
-            }
-            case Backend::resilient: {
-              BufferPool::Lease lease(pool_, std::size_t(cells));
-              ResilienceOptions ropts = spec.resilience;
-              ropts.base.channel_depth = spec.channel_depth;
-              if (spec.injector) ropts.base.injector = spec.injector;
-              if (spec.watchdog_deadline.count() > 0) {
-                ropts.base.watchdog_deadline = spec.watchdog_deadline;
-              }
-              ropts.base.scratch = &lease.buffer();
-              ropts.base.cancel = job.token;
-              result.stats =
-                  run_resilient(spec.taps, cfg, grid, spec.iterations, ropts);
-              break;
-            }
-            case Backend::cluster: {
-              // The cluster is a timing model (no block loop to poll);
-              // honor a pre-run trip, then run to completion.
-              job.token.throw_if_cancelled();
-              const DeviceSpec device =
-                  spec.device.name.empty() ? arria10_gx1150() : spec.device;
-              MultiFpgaCluster cluster(spec.boards, spec.taps, cfg, device,
-                                       spec.link);
-              result.cluster = cluster.run(grid, spec.iterations);
-              // The cluster reports modeled timing, not streaming counts;
-              // synthesize the valid-cell work for the job metrics.
-              result.stats.passes = result.cluster.passes;
-              result.stats.time_steps = spec.iterations;
-              result.stats.cells_written = cells * spec.iterations;
-              break;
-            }
-          }
-        },
-        spec.grid);
-
-    result.grid = std::move(spec.grid);
-    if (spec.sink) deliver_chunks(spec, result);
+    result.stats = outcome.stats;
+    result.program_nodes_executed = outcome.nodes_executed;
+    result.program_steps = outcome.steps_executed;
+    if (spec.program) {
+      result.kernel_fingerprint = outcome.fingerprint;
+      result.fields = std::move(outcome.fields);
+    } else {
+      result.kernel_fingerprint = outcome.plan_fingerprints.front();
+      result.grid = std::move(outcome.fields.front().second);
+    }
+    if (spec.sink) stream_result_chunks(spec, result);
     result.run_ns = run_clock.nanoseconds();
     record_job_metrics(*telemetry_, options_.metrics_prefix, queue_ns,
                        result.run_ns, result.stats.cells_written);
     telemetry_->metrics().counter(m("jobs_completed")).add(1);
-    breaker_.on_success(backend_used);
     export_breaker_gauges();
     finish(job, std::move(result));
   } catch (const DeadlineExceededError&) {
     finish_cancelled(job, /*deadline=*/true);
   } catch (const CancelledError&) {
     finish_cancelled(job, /*deadline=*/false);
-  } catch (const ConfigError&) {
-    // A bad spec is the caller's fault, not the backend's: fail the job
-    // without charging the breaker.
-    telemetry_->metrics().counter(m("jobs_failed")).add(1);
-    telemetry_->tracer().instant(m("job_failed"), worker_id,
-                                 options_.metrics_prefix);
-    fail(job, std::current_exception());
   } catch (...) {
+    // The executor charged the breaker already, and only for backend
+    // failures: a bad spec (ConfigError) is the caller's fault.
     telemetry_->metrics().counter(m("jobs_failed")).add(1);
     telemetry_->tracer().instant(m("job_failed"), worker_id,
                                  options_.metrics_prefix);
-    if (backend_used != Backend::automatic) breaker_.on_failure(backend_used);
     export_breaker_gauges();
     fail(job, std::current_exception());
-  }
-}
-
-void StencilEngine::deliver_chunks(const JobSpec& spec, JobResult& result) {
-  ResultChunk chunk;  // field stays empty: single-stencil stream
-  stream_grid_bands(result.grid, spec, chunk, /*final_grid=*/true);
-  result.chunks_delivered = chunk.index;
-  if (spec.sink_only) {
-    // The stream was the delivery; free the server-side copy now.
-    result.grid = Grid2D<float>(1, 1);
   }
 }
 

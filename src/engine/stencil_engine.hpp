@@ -235,8 +235,6 @@ class StencilEngine {
   /// Runs the spec's on_terminal hook (exactly once per job, after the
   /// terminal state is recorded).
   void notify_terminal(detail::JobState& job);
-  /// Streams the finished grid through spec.sink in contiguous bands.
-  static void deliver_chunks(const JobSpec& spec, JobResult& result);
   void begin_drain();
   void export_breaker_gauges();
   /// "<metrics_prefix>.<suffix>".

@@ -1,24 +1,27 @@
 // ProgramExecutor: runs a validated ProgramSpec through the engine's
-// machinery -- PlanCache, BufferPool, HostAutotuner, Telemetry -- inside
-// the worker thread that dispatched the program job (docs/PROGRAMS.md).
+// machinery -- PlanCache, BufferPool, HostAutotuner, CircuitBreaker,
+// Telemetry -- inside the worker thread that dispatched the job
+// (docs/PROGRAMS.md).
 //
-// The executor is also the *shared node runner*: resolve_plan (plan-cache
-// lookup with the full tuner metric accounting) and run_planned (the
-// sync_sim / block_parallel execution arms over pooled scratch) are the
-// single implementation both the classic single-stencil job path in
-// StencilEngine::execute and every program node run through. Collapsing
-// the two paths is what makes "a single-stencil job is a one-node
-// program" true at the machinery level, not just the API level.
+// It is the engine's one execution path: StencilEngine::execute turns a
+// single-stencil job into the one-node program single_stencil_program()
+// over the job's own grid and runs it here like any program job.
+// resolve_plan (plan-cache lookup with the full tuner metric accounting),
+// route (the shared routing policy, engine/run.hpp) and run_planned (the
+// backend switch over pooled scratch) are the node runner.
 //
-// Execution model: all node plans are resolved once up front (one
-// plan-cache lookup -- and hence at most one tuner probe and exactly one
-// tuner.cache_hit/miss tick -- per node per program run, regardless of
-// `steps`), then the per-timestep schedule loops: each node copies its
-// resolved input buffer into a pooled grid, advances it on its routed
-// backend, and combines the result into the output field's back buffer;
-// written fields swap at the end of the step. Every buffer is a
-// BufferPool lease, so a program job leaks nothing even when a node
-// throws mid-step.
+// Execution model: all node plans are resolved and routed once up front
+// (one plan-cache lookup -- and hence at most one tuner probe and exactly
+// one tuner.cache_hit/miss tick -- per node per program run, regardless
+// of `steps`), then the per-timestep schedule loops. Nodes run in place
+// wherever the step semantics allow: a node that assigns into the field
+// it reads runs on that field's buffer itself when no later node of the
+// step reads the field's step-start state; other assign nodes copy their
+// input once into the output field's back buffer and run there; add
+// nodes run on a pooled work grid and add it into the back buffer.
+// Written fields swap at the end of the step. Scratch, work and back
+// buffers are BufferPool leases, so a program job leaks nothing even
+// when a node throws mid-step.
 #pragma once
 
 #include <chrono>
@@ -32,6 +35,7 @@
 #include "core/run_options.hpp"
 #include "core/stencil_accelerator.hpp"
 #include "engine/plan_cache.hpp"
+#include "engine/run.hpp"
 #include "program/program_spec.hpp"
 
 namespace fpga_stencil {
@@ -39,6 +43,7 @@ namespace fpga_stencil {
 class Telemetry;
 class HostAutotuner;
 class CancellationToken;
+class CircuitBreaker;
 class FaultInjector;
 
 /// What running a whole program yields.
@@ -52,19 +57,33 @@ struct ProgramOutcome {
   bool all_plans_cached = true;  ///< every node's plan lookup was a hit
   bool any_plan_tuned = false;   ///< some node adopted a tuned geometry
   std::uint64_t fingerprint = 0;  ///< ProgramSpec::fingerprint()
+  /// Each node's plan kernel fingerprint, in declaration order.
+  std::vector<std::uint64_t> plan_fingerprints;
+  /// The backend every node ran on, or `automatic` when nodes routed
+  /// differently.
+  ExecutionBackend backend = ExecutionBackend::automatic;
+  bool rerouted = false;  ///< the circuit breaker overrode some node's route
+  ClusterStats cluster;   ///< modeled timing of cluster-backend nodes
 };
 
-/// Per-run knobs of the shared node runner that only the single-stencil
-/// path uses (program nodes pass the defaults).
+/// Per-job knobs of the node runner that only single-stencil jobs set
+/// (program jobs keep the defaults, which the front door enforces).
 struct NodeRunOptions {
+  std::size_t channel_depth = 64;  ///< concurrent / resilient
+  /// Fault source; under `automatic` it routes nodes to the resilient
+  /// backend.
   FaultInjector* injector = nullptr;
   std::chrono::milliseconds watchdog_deadline{0};
+  ResilienceOptions resilience;  ///< resilient-backend policy
+  /// Multi-board shape; boards > 1 routes `automatic` nodes to the
+  /// cluster timing model.
+  ClusterRun cluster;
 };
 
 class ProgramExecutor {
  public:
   /// Engine services the executor borrows; all pointees must outlive it.
-  /// StencilEngine builds one per program job from its own members.
+  /// StencilEngine builds one per job from its own members.
   struct Services {
     PlanCache* plans = nullptr;
     BufferPool* pool = nullptr;
@@ -72,13 +91,17 @@ class ProgramExecutor {
     AutotuneMode autotune = AutotuneMode::off;
     Telemetry* telemetry = nullptr;           ///< required
     std::string metrics_prefix = "engine";
-    /// Requested backend: automatic (route per node by the engine's
-    /// 2-blocks-per-worker policy), sync_sim, or block_parallel. Program
-    /// jobs never run on the concurrent/resilient/cluster backends
-    /// (validate_job_spec rejects them at the front door).
+    /// Requested backend: automatic (route every node by route_backend)
+    /// or an explicit one. Program jobs never run on the concurrent,
+    /// resilient or cluster backends (validate_job_spec rejects them at
+    /// the front door).
     ExecutionBackend backend = ExecutionBackend::automatic;
     /// Block-parallel worker threads (JobSpec::workers passthrough).
     int workers = 0;
+    NodeRunOptions node;  ///< the job's knobs for every node run
+    /// Gets the last word on every node's route and hears how the run
+    /// went; null runs without one.
+    CircuitBreaker* breaker = nullptr;
   };
 
   explicit ProgramExecutor(Services services);
@@ -93,31 +116,35 @@ class ProgramExecutor {
       std::int64_t ny, std::int64_t nz, const CancellationToken* token,
       bool* hit);
 
-  /// Resolves Services::backend against a concrete plan: `automatic`
-  /// becomes block_parallel when the plan yields >= 2 blocks per worker,
-  /// else sync_sim (the engine's single-board routing policy).
+  /// Resolves Services::backend against a concrete plan through
+  /// route_backend (engine/run.hpp), the one routing policy. The circuit
+  /// breaker is not consulted here; run() applies it.
   [[nodiscard]] ExecutionBackend route(const CachedPlan& plan) const;
 
-  /// Runs one planned stencil in place on `grid` over pooled scratch.
-  /// `backend` must be sync_sim or block_parallel. `cfg` is the plan's
-  /// resolved config with the caller's telemetry hook restored.
+  /// Runs one planned stencil in place on `grid` over pooled scratch, on
+  /// any routed backend, with Services::node's knobs. `cfg` is the plan's
+  /// resolved config with the caller's telemetry hook restored. A cluster
+  /// run writes its modeled timing to `cluster` when given.
   RunStats run_planned(const TapSet& taps, const AcceleratorConfig& cfg,
                        ExecutionBackend backend, Grid2D<float>& grid,
                        int iterations, const CancellationToken* token,
-                       const NodeRunOptions& opts = NodeRunOptions());
+                       ClusterStats* cluster = nullptr);
   RunStats run_planned(const TapSet& taps, const AcceleratorConfig& cfg,
                        ExecutionBackend backend, Grid3D<float>& grid,
                        int iterations, const CancellationToken* token,
-                       const NodeRunOptions& opts = NodeRunOptions());
+                       ClusterStats* cluster = nullptr);
 
-  /// Runs the whole program: validate, resolve every node plan once,
-  /// execute `steps` timesteps in DAG order. Emits
+  /// Runs the whole program: validate, resolve and route every node plan
+  /// once, execute `steps` timesteps in DAG order. Emits
   /// <prefix>.program.nodes_scheduled / <prefix>.program.steps counters
   /// and a "<prefix>.program.node:<name>" span per node run
   /// (docs/OBSERVABILITY.md). Throws ConfigError / CancelledError /
-  /// DeadlineExceededError like any job body.
-  ProgramOutcome run(const ProgramSpec& program,
-                     const CancellationToken* token, int worker_id);
+  /// DeadlineExceededError like any job body. The fields' storage
+  /// becomes the run's front buffers: pass an rvalue to run without
+  /// copying it (a single-stencil job's grid), an lvalue to copy it in
+  /// once (a program job's shared spec).
+  ProgramOutcome run(ProgramSpec program, const CancellationToken* token,
+                     int worker_id);
 
  private:
   [[nodiscard]] std::string m(const char* suffix) const;

@@ -111,6 +111,24 @@ TEST(Engine, BufferPoolStopsAllocatingAfterWarmup) {
   EXPECT_EQ(stats.pool_acquires, 9);
 }
 
+TEST(Engine, SyncSimJobLeasesOnlyItsScratch) {
+  // A single-stencil job runs as the one-node program over its own grid,
+  // in place: its one lease is the ping-pong scratch -- no copy-in, back
+  // or work buffer -- and it comes back.
+  const TapSet taps = StarStencil::make_benchmark(2, 1, 5).to_taps();
+  Grid2D<float> want = grid2d();
+  reference_run(taps, want, 3);
+  StencilEngine engine({.workers = 1});
+  JobSpec spec(taps, cfg2d(), grid2d(), 3);
+  spec.backend = Backend::sync_sim;
+  const std::int64_t before = engine.stats().pool_acquires;
+  JobResult r = engine.run(std::move(spec));
+  EXPECT_EQ(engine.stats().pool_acquires - before, 1);
+  EXPECT_EQ(engine.buffer_pool().outstanding(), 0);
+  EXPECT_EQ(r.backend, Backend::sync_sim);
+  EXPECT_TRUE(compare_exact(r.grid2d(), want).identical());
+}
+
 TEST(Engine, ConcurrentStress64JobsBitExact) {
   const TapSet star2 = StarStencil::make_benchmark(2, 1, 5).to_taps();
   const TapSet box2 = make_box_stencil(2, 1, 21);

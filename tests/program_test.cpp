@@ -284,6 +284,93 @@ TEST(ProgramExecution, SingleStencilAdapterMatchesDirectRunBitExact) {
   EXPECT_EQ(engine.buffer_pool().outstanding(), 0);
 }
 
+/// Node A assigns u -> u; node B reads u and assigns v. Without an edge B
+/// reads u's step-start state, so A must not run in place; with
+/// `after: {A}` B reads A's result and A may.
+ProgramSpec make_in_place_program(bool b_after_a) {
+  ProgramSpec p;
+  Grid2D<float> u(96, 40);
+  u.fill_random(41, -1.0f, 1.0f);
+  Grid2D<float> v(96, 40);
+  v.fill_random(42, -1.0f, 1.0f);
+  p.fields = {
+      FieldSpec{"u", std::move(u), BoundaryCondition::periodic()},
+      FieldSpec{"v", std::move(v), BoundaryCondition::clamp()},
+  };
+  const AcceleratorConfig cfg = base_config(2, 1);
+  const TapSet smooth = taps_2d({Tap{0, 0, 0, 0.5f}, Tap{-1, 0, 0, 0.125f},
+                                 Tap{1, 0, 0, 0.125f}, Tap{0, -1, 0, 0.125f},
+                                 Tap{0, 1, 0, 0.125f}});
+  const TapSet shift = taps_2d({Tap{1, 0, 0, 0.75f}, Tap{0, 1, 0, -0.25f}});
+  std::vector<std::string> after;
+  if (b_after_a) after.push_back("A");
+  p.nodes = {
+      KernelNode{"A", smooth, cfg, "u", "u", CombineOp::assign, 2, {}},
+      KernelNode{"B", shift, cfg, "u", "v", CombineOp::assign, 1, after},
+  };
+  p.steps = 3;
+  return p;
+}
+
+TEST(ProgramExecution, InPlaceAssignWaitsForLaterFrontReaders) {
+  std::int64_t sync_acquires[2] = {0, 0};
+  for (const bool b_after_a : {false, true}) {
+    auto program =
+        std::make_shared<const ProgramSpec>(make_in_place_program(b_after_a));
+    const auto want = reference_run_program(*program);
+    for (const Backend backend : {Backend::sync_sim, Backend::block_parallel}) {
+      StencilEngine engine({.workers = 1});
+      JobSpec spec(program);
+      spec.backend = backend;
+      spec.workers = 4;
+      JobResult r = engine.run(std::move(spec));
+      expect_fields_identical(r.fields, want);
+      EXPECT_EQ(r.backend, backend);
+      EXPECT_EQ(engine.buffer_pool().outstanding(), 0);
+      if (backend == Backend::sync_sim) {
+        sync_acquires[b_after_a] = engine.stats().pool_acquires;
+      }
+    }
+  }
+  // The edge changes what B sees, so a wrongly in-place A would show.
+  EXPECT_FALSE(
+      compare_exact(
+          std::get<Grid2D<float>>(
+              reference_run_program(make_in_place_program(false))[1].second),
+          std::get<Grid2D<float>>(
+              reference_run_program(make_in_place_program(true))[1].second))
+          .identical());
+  // In place, A takes no back buffer for u.
+  EXPECT_EQ(sync_acquires[0] - sync_acquires[1], 1);
+}
+
+TEST(ProgramExecution, ReportsTheBackendItsNodesAgreeOn) {
+  auto program =
+      std::make_shared<const ProgramSpec>(make_fdtd_program(33, 21, 2));
+  StencilEngine engine({.workers = 1});
+  {
+    JobSpec spec(program);
+    spec.workers = 1;  // every node routes to sync_sim
+    EXPECT_EQ(engine.run(std::move(spec)).backend, Backend::sync_sim);
+  }
+  {
+    JobSpec spec(program);
+    spec.backend = Backend::block_parallel;
+    spec.workers = 2;
+    EXPECT_EQ(engine.run(std::move(spec)).backend, Backend::block_parallel);
+  }
+  // Narrow blocks give one node >= 2 blocks per worker; the others stay
+  // on sync_sim, and the job reports that its nodes disagree.
+  ProgramSpec mixed = make_fdtd_program(33, 21, 2);
+  mixed.nodes[0].config.bsize_x = 8;
+  const auto want = reference_run_program(mixed);
+  JobSpec spec(std::make_shared<const ProgramSpec>(std::move(mixed)));
+  spec.workers = 2;
+  JobResult r = engine.run(std::move(spec));
+  EXPECT_EQ(r.backend, Backend::automatic);
+  expect_fields_identical(r.fields, want);
+}
+
 TEST(ProgramExecution, ProgramThroughClusterBitExactAndZeroLeakedLeases) {
   auto program =
       std::make_shared<const ProgramSpec>(make_fdtd_program(25, 17, 3));
