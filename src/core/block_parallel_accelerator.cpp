@@ -245,6 +245,7 @@ RunStats run_block_parallel_impl(const TapSet& taps,
   for (const RunStats& ws : worker_stats) {
     stats.cells_streamed += ws.cells_streamed;
     stats.cells_written += ws.cells_written;
+    stats.cells_computed += ws.cells_computed;
     stats.vectors_processed += ws.vectors_processed;
     stats.block_passes += ws.block_passes;
   }
@@ -265,6 +266,9 @@ RunStats run_block_parallel_impl(const TapSet& taps,
     // thousandths -- the registry is integer-only.
     m.gauge("block_parallel.redundancy_milli")
         .set(std::int64_t(stats.redundancy() * 1000.0));
+    // Stage-cell evaluations per update actually paid by the compute.
+    m.gauge("block_parallel.compute_redundancy_milli")
+        .set(std::int64_t(stats.compute_redundancy() * 1000.0));
     Histogram& busy = m.histogram("block_parallel.worker_busy_ns",
                                   default_latency_bounds_ns());
     for (const std::int64_t ns : worker_busy_ns) busy.observe(ns);

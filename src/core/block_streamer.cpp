@@ -174,6 +174,7 @@ void stream_block_generic(std::vector<ProcessingElement>& pes,
     }
   }
   stats.vectors_processed += vectors_per_block;
+  stats.cells_computed += vectors_per_block * cfg.parvec * steps;
   ++stats.block_passes;
 }
 
@@ -258,6 +259,7 @@ void stream_block_generic(std::vector<ProcessingElement>& pes,
     }
   }
   stats.vectors_processed += vectors_per_block;
+  stats.cells_computed += vectors_per_block * cfg.parvec * steps;
   ++stats.block_passes;
 }
 

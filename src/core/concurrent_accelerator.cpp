@@ -213,6 +213,7 @@ void run_pass_concurrent(const TapSet& taps, const AcceleratorConfig& cfg,
     }
     if (!underrun && !cancelled) {
       stats.vectors_processed += geo.vectors_per_block;
+      stats.cells_computed += geo.vectors_per_block * cfg.parvec * steps;
       ++stats.block_passes;
     }
   }

@@ -45,6 +45,10 @@ struct RunStats {
   std::int64_t time_steps = 0;          ///< total stencil iterations applied
   std::int64_t cells_streamed = 0;      ///< incl. halos, warm-up and drain
   std::int64_t cells_written = 0;       ///< valid cells retired
+  /// Stage-cell evaluations: the specialized kernels count the in-grid
+  /// cells of each stage's influence cone, the interpreter every
+  /// streamed cell times the pass's steps (its PEs evaluate them all).
+  std::int64_t cells_computed = 0;
   std::int64_t vectors_processed = 0;   ///< == pipeline cycles, zero-stall
   std::int64_t block_passes = 0;        ///< blocks streamed across all passes
 
@@ -66,6 +70,17 @@ struct RunStats {
                              : 0.0;
   }
 
+  /// Stage-cell evaluations per cell update (computed / (written per
+  /// pass * steps)); 1.0 means no redundant arithmetic. Unlike
+  /// redundancy(), which counts streamed cells (eq. 2), this is what
+  /// the compute actually paid.
+  [[nodiscard]] double compute_redundancy() const {
+    return cells_written > 0 && time_steps > 0
+               ? double(cells_computed) * double(passes) /
+                     (double(cells_written) * double(time_steps))
+               : 0.0;
+  }
+
   /// Folds the streaming/resilience counters of another run (e.g. one
   /// pass attempt) into this aggregate.
   void accumulate(const RunStats& other) {
@@ -73,6 +88,7 @@ struct RunStats {
     time_steps += other.time_steps;
     cells_streamed += other.cells_streamed;
     cells_written += other.cells_written;
+    cells_computed += other.cells_computed;
     vectors_processed += other.vectors_processed;
     block_passes += other.block_passes;
     faults_injected += other.faults_injected;

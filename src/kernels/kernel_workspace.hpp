@@ -17,9 +17,11 @@ namespace fpga_stencil {
 
 class KernelWorkspace {
  public:
-  /// A slab of at least `cells` floats (contents unspecified; kernels
-  /// fully overwrite the planes they read). The pointer is invalidated by
-  /// the next ensure() call with a larger size.
+  /// A slab of at least `cells` floats (contents unspecified; a kernel
+  /// zeroes it at block start, then writes each stage's influence cone
+  /// only -- cells outside a cone keep stale values no retired cell
+  /// reads). The pointer is invalidated by the next ensure() call with a
+  /// larger size.
   [[nodiscard]] float* ensure(std::size_t cells) {
     if (slab_.size() < cells) slab_.resize(cells);
     return slab_.data();

@@ -15,10 +15,11 @@
 // in canonical tap order, with every tap clamped toward the grid per axis
 // and out-of-grid centers producing zero -- exactly the interpreter's
 // arithmetic, in the same order. The only intentional divergence is in
-// cells no valid output can observe: block-edge lanes within `radius` of
-// the block boundary in computed stages read wrapped shift-register rows
-// in the interpreter; the specialized kernels zero them (see
-// docs/KERNELS.md for the influence-cone argument that this is sound).
+// cells no valid output can observe: the kernels compute only each
+// stage's influence cone, where the interpreter (like the FPGA pipeline)
+// computes the whole block, including block-edge lanes that read wrapped
+// shift-register rows (see docs/KERNELS.md for the influence-cone
+// argument that this is sound).
 //
 // Instantiations for the supported envelope live in star_kernels_*.cpp /
 // box_kernels_*.cpp and are reachable through the KernelRegistry; this
@@ -56,7 +57,8 @@ using GridOf = std::conditional_t<Dims == 3, Grid3D<float>, Grid2D<float>>;
 /// the tap coefficients in canonical order for <Shape, Rad, Dims> (the
 /// caller extracts them from its TapSet). Stats accounting matches the
 /// interpreter field for field (cells_streamed, vectors_processed,
-/// block_passes, cells_written), and a non-null `cancel` token is polled
+/// block_passes, cells_written) except cells_computed, which counts the
+/// in-grid cells of the stage cones; a non-null `cancel` token is polled
 /// once per streamed plane/row -- at least as often as the interpreter's
 /// one-block-time cancellation bound requires.
 template <StencilShape Shape, int Rad, int Dims, int ParVec>

@@ -22,10 +22,11 @@
 // iteration:
 //
 //   for z in [0, nz + steps*Rad):          // streamed dim + pipeline drain
-//     read  : load input plane z into stage 0's window (zero off-grid)
+//     read  : load stage 0's cone of input plane z into its window
+//             (zero off-grid)
 //     update: for k = 1..steps, plane p = z - k*Rad of stage k becomes
 //             computable (its +Rad source in stage k-1 just landed);
-//             compute it row by row from stage k-1's window
+//             compute its cone row by row from stage k-1's window
 //     write : plane z - steps*Rad of stage `steps` is final; retire its
 //             valid compute region into `out`
 //
@@ -40,19 +41,33 @@
 // are constexpr; each lane carries an independent dependency chain in the
 // interpreter's op order, so vectorization cannot change results.
 //
-// ## Why block-edge divergence is sound (influence cone)
+// ## Cone trimming (influence cone)
 //
-// Windows are padded by Rad zero cells per side of each blocked axis, so
-// a computed cell near the block edge may read zeros where the
-// interpreter's ring reads wrapped rows. Neither value can reach a valid
-// output: by induction, the stage-k cells any retired cell depends on lie
-// within halo - (steps - k)*Rad .. halo + csize + (steps - k)*Rad of the
-// block-local blocked axes (each stage widens the cone by at most Rad,
-// clamping only pulls reads inward), which for k >= 1 stays at least Rad
-// away from the block edge since halo = partime*radius >= steps*Rad. All
-// cells inside that cone are computed from genuinely loaded input with
-// the exact interpreter arithmetic; everything outside is don't-care for
-// both implementations. tests/kernels_test.cpp verifies the retired
+// A retired cell depends on stage-k cells only within its influence
+// cone: by induction, the block-local range
+//
+//   [w_lo - e_k, w_hi + e_k),   e_k = (steps - k)*Rad
+//
+// per blocked axis, where [w_lo, w_hi) is the block's retire window
+// (each stage widens the cone by at most Rad; clamping only pulls reads
+// inward, toward cells that are themselves in the cone). Stage k
+// (k = 1..steps) therefore computes exactly that range, and the input
+// load (stage 0) loads it with e_0 = steps*Rad -- so stage k's cone reads
+// exactly stage k-1's cone, and a short tail pass (steps < partime) also
+// skips the unused part of the halo. Off-grid centers inside a cone stay
+// zero; cells outside every cone are never written and never read. On
+// the r4 144x144 partime-4 acceptance geometry this evaluates 1.2012
+// stage-cells per retired update instead of the 1.5625 a full-block pass
+// (the FPGA's fixed pipeline) evaluates; RunStats::cells_computed counts
+// them.
+//
+// Since halo = partime*radius >= steps*Rad, every cone with k >= 1 stays
+// at least Rad away from the block edge, so the zero padding (Rad cells
+// per side of each blocked axis) is never read by a computed cell, and
+// where the interpreter's ring reads wrapped rows near the block edge
+// both implementations compute only don't-care cells. All cells inside a
+// cone are computed from genuinely loaded input with the exact
+// interpreter arithmetic. tests/kernels_test.cpp verifies the retired
 // output bit-for-bit against the interpreter for every envelope entry.
 #pragma once
 
@@ -149,25 +164,46 @@ template <int NTaps>
   return acc;
 }
 
-/// One output row (block-local x in [0, bx)) of one stage: zero segments
-/// where the center is off-grid, x-clamped scalar cells at the grid's x
-/// boundaries, ParVec-wide vectorized chunks in the interior. `dst` and
-/// each `rows[t]` point at block-local x == 0 of rows padded by >= Rad
-/// cells per side.
+/// Block-local [lo, hi) along one blocked axis.
+struct Span {
+  std::int64_t lo = 0, hi = 0;
+  [[nodiscard]] bool empty() const { return lo >= hi; }
+};
+
+/// Stage k's influence cone along one blocked axis: the retire window
+/// `win` widened by (steps - k)*Rad per side (see the header comment).
+template <int Rad>
+[[nodiscard]] inline Span stage_cone(Span win, int steps, int k) {
+  const std::int64_t e = std::int64_t(steps - k) * Rad;
+  return {win.lo - e, win.hi + e};
+}
+
+/// The part of non-empty `s` whose global index (origin + local) lies in
+/// [0, n).
+[[nodiscard]] inline Span in_grid(Span s, std::int64_t origin,
+                                  std::int64_t n) {
+  const std::int64_t lo = std::clamp(-origin, s.lo, s.hi);
+  return {lo, std::clamp(n - origin, lo, s.hi)};
+}
+
+/// Columns `cols` (block-local, non-empty) of one output row of one
+/// stage: zeros where the center is off-grid, x-clamped scalar cells at
+/// the grid's x boundaries, ParVec-wide vectorized chunks in the
+/// interior. `dst` and each `rows[t]` point at block-local x == 0 of rows
+/// padded by >= Rad cells per side. Returns the in-grid cells computed.
 template <int NTaps, int ParVec>
-inline void compute_row(float* dst, std::int64_t bx, std::int64_t x0,
-                        std::int64_t nx, std::int64_t rad,
-                        const float* const* rows, const int* dxs,
-                        const float* cf) {
-  const std::int64_t grid_lo = std::clamp<std::int64_t>(-x0, 0, bx);
-  const std::int64_t grid_hi = std::clamp<std::int64_t>(nx - x0, grid_lo, bx);
-  std::fill(dst, dst + grid_lo, 0.0f);
-  std::fill(dst + grid_hi, dst + bx, 0.0f);
+inline std::int64_t compute_row(float* dst, Span cols, std::int64_t x0,
+                                std::int64_t nx, std::int64_t rad,
+                                const float* const* rows, const int* dxs,
+                                const float* cf) {
+  const Span grid = in_grid(cols, x0, nx);
+  std::fill(dst + cols.lo, dst + grid.lo, 0.0f);
+  std::fill(dst + grid.hi, dst + cols.hi, 0.0f);
   // Columns where some tap could cross the grid's x boundary.
-  const std::int64_t il = std::clamp<std::int64_t>(rad - x0, grid_lo, grid_hi);
+  const std::int64_t il = std::clamp<std::int64_t>(rad - x0, grid.lo, grid.hi);
   const std::int64_t ih =
-      std::clamp<std::int64_t>(nx - rad - x0, il, grid_hi);
-  std::int64_t x = grid_lo;
+      std::clamp<std::int64_t>(nx - rad - x0, il, grid.hi);
+  std::int64_t x = grid.lo;
   for (; x < il; ++x) {
     dst[x] = compute_border_cell<NTaps>(x, x0 + x, nx, rows, dxs, cf);
   }
@@ -186,9 +222,23 @@ inline void compute_row(float* dst, std::int64_t bx, std::int64_t x0,
   }
   // Chunk remainder: interior columns never clamp, so the border form
   // degenerates to the identical operation sequence.
-  for (; x < grid_hi; ++x) {
+  for (; x < grid.hi; ++x) {
     dst[x] = compute_border_cell<NTaps>(x, x0 + x, nx, rows, dxs, cf);
   }
+  return grid.hi - grid.lo;
+}
+
+/// Loads columns `cols` of input row `src` (null when the row is
+/// off-grid) into `dst`, zero outside the grid.
+inline void load_row(float* dst, Span cols, const float* src,
+                     std::int64_t x0, std::int64_t nx) {
+  const Span grid = src ? in_grid(cols, x0, nx) : Span{cols.lo, cols.lo};
+  std::fill(dst + cols.lo, dst + grid.lo, 0.0f);
+  if (!grid.empty()) {
+    std::memcpy(dst + grid.lo, src + (x0 + grid.lo),
+                std::size_t(grid.hi - grid.lo) * sizeof(float));
+  }
+  std::fill(dst + grid.hi, dst + cols.hi, 0.0f);
 }
 
 /// 2D block pass: x blocked, y streamed; window planes are single rows.
@@ -208,11 +258,19 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
   const std::int64_t x0 = blk.x0;
   const std::int64_t prow = bx + 2 * Rad;  // padded row stride
 
+  const std::int64_t halo = cfg.halo();
+  const Span wx{halo, std::min(halo + cfg.csize_x(), blk.valid_x_end - x0)};
+  // Nothing retires, so every cone is don't-care (and may be empty).
+  if (wx.empty()) return;
+
   KernelWorkspace& ws = tls_kernel_workspace();
   const std::size_t slab =
       std::size_t(steps + 1) * std::size_t(W) * std::size_t(prow);
   float* base = ws.ensure(slab);
-  std::fill(base, base + slab, 0.0f);  // margins must read as zero
+  // Only cone cells are ever read (header comment); zeroing the rest keeps
+  // the slab's contents independent of which block ran on this thread
+  // before.
+  std::fill(base, base + slab, 0.0f);
   const auto window = [&](int stage) {
     return PlanarShiftRegister<float>(base + std::size_t(stage) * W * prow, W,
                                       prow);
@@ -222,37 +280,22 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
     return window(stage).plane(r) + Rad;
   };
 
-  const std::int64_t grid_lo = std::clamp<std::int64_t>(-x0, 0, bx);
-  const std::int64_t grid_hi = std::clamp<std::int64_t>(nx - x0, grid_lo, bx);
-
-  const std::int64_t halo = cfg.halo();
-  const std::int64_t wx_lo = halo;
-  const std::int64_t wx_hi =
-      std::min(halo + cfg.csize_x(), blk.valid_x_end - x0);
-
+  const Span load = stage_cone<Rad>(wx, steps, 0);
+  std::int64_t computed = 0;
   const std::int64_t ymax = ny + std::int64_t(steps) * Rad;
   for (std::int64_t y = 0; y < ymax; ++y) {
     if (cancel) cancel->throw_if_cancelled();
-    // --- read: load input row y (zero outside the grid) ---
-    float* in_row = content(0, y);
-    if (y >= ny) {
-      std::fill(in_row, in_row + bx, 0.0f);
-    } else {
-      std::fill(in_row, in_row + grid_lo, 0.0f);
-      if (grid_hi > grid_lo) {
-        std::memcpy(in_row + grid_lo, &in.at(x0 + grid_lo, y),
-                    std::size_t(grid_hi - grid_lo) * sizeof(float));
-      }
-      std::fill(in_row + grid_hi, in_row + bx, 0.0f);
-    }
+    // --- read: load stage 0's cone of input row y (zero off-grid) ---
+    load_row(content(0, y), load, y < ny ? &in.at(0, y) : nullptr, x0, nx);
 
-    // --- update: stage-k rows that just became computable ---
+    // --- update: stage-k cone rows that just became computable ---
     for (int k = 1; k <= steps; ++k) {
       const std::int64_t r = y - std::int64_t(k) * Rad;
       if (r < 0) break;  // deeper stages lag even further
+      const Span cx = stage_cone<Rad>(wx, steps, k);
       float* dst = content(k, r);
       if (r >= ny) {  // off-grid center row: zeros, overwriting the slot
-        std::fill(dst, dst + bx, 0.0f);
+        std::fill(dst + cx.lo, dst + cx.hi, 0.0f);
         continue;
       }
       const float* rows[N];
@@ -261,20 +304,18 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
             clamp_index(r + offs.dy[t], 0, ny - 1);
         rows[t] = content(k - 1, src);
       }
-      compute_row<N, ParVec>(dst, bx, x0, nx, Rad, rows, offs.dx.data(), cf);
+      computed += compute_row<N, ParVec>(dst, cx, x0, nx, Rad, rows,
+                                         offs.dx.data(), cf);
     }
 
     // --- write: retire the finished row ---
     const std::int64_t wout = y - std::int64_t(steps) * Rad;
-    if (wout < 0 || wout >= ny || wx_hi <= wx_lo) continue;
-    std::memcpy(&out.at(x0 + wx_lo, wout), content(steps, wout) + wx_lo,
-                std::size_t(wx_hi - wx_lo) * sizeof(float));
-    stats.cells_written += wx_hi - wx_lo;
+    if (wout < 0 || wout >= ny) continue;
+    std::memcpy(&out.at(x0 + wx.lo, wout), content(steps, wout) + wx.lo,
+                std::size_t(wx.hi - wx.lo) * sizeof(float));
+    stats.cells_written += wx.hi - wx.lo;
   }
-
-  stats.cells_streamed += plan.cells_streamed_per_pass;
-  stats.vectors_processed += plan.cells_streamed_per_pass / cfg.parvec;
-  ++stats.block_passes;
+  stats.cells_computed += computed;
 }
 
 /// 3D block pass: x/y blocked, z streamed; window planes are padded
@@ -296,6 +337,12 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
   const std::int64_t prow = bx + 2 * Rad;
   const std::int64_t plane_cells = prow * (by + 2 * Rad);
 
+  const std::int64_t halo = cfg.halo();
+  const Span wx{halo, std::min(halo + cfg.csize_x(), blk.valid_x_end - x0)};
+  const Span wy{halo, std::min(halo + cfg.csize_y(), blk.valid_y_end - y0)};
+  // Nothing retires, so every cone is don't-care (and may be empty).
+  if (wx.empty() || wy.empty()) return;
+
   KernelWorkspace& ws = tls_kernel_workspace();
   const std::size_t slab =
       std::size_t(steps + 1) * std::size_t(W) * std::size_t(plane_cells);
@@ -310,44 +357,30 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
     return window(stage).plane(p) + (y_rel + Rad) * prow + Rad;
   };
 
-  const std::int64_t grid_lo = std::clamp<std::int64_t>(-x0, 0, bx);
-  const std::int64_t grid_hi = std::clamp<std::int64_t>(nx - x0, grid_lo, bx);
-
-  const std::int64_t halo = cfg.halo();
-  const std::int64_t wx_lo = halo;
-  const std::int64_t wx_hi =
-      std::min(halo + cfg.csize_x(), blk.valid_x_end - x0);
-  const std::int64_t wy_lo = halo;
-  const std::int64_t wy_hi =
-      std::min(halo + cfg.csize_y(), blk.valid_y_end - y0);
-
+  const Span load_x = stage_cone<Rad>(wx, steps, 0);
+  const Span load_y = stage_cone<Rad>(wy, steps, 0);
+  std::int64_t computed = 0;
   const std::int64_t zmax = nz + std::int64_t(steps) * Rad;
   for (std::int64_t z = 0; z < zmax; ++z) {
     if (cancel) cancel->throw_if_cancelled();
-    // --- read: load input plane z (zero outside the grid) ---
-    for (std::int64_t y_rel = 0; y_rel < by; ++y_rel) {
-      float* row = content(0, z, y_rel);
+    // --- read: load stage 0's cone of input plane z (zero off-grid) ---
+    for (std::int64_t y_rel = load_y.lo; y_rel < load_y.hi; ++y_rel) {
       const std::int64_t yg = y0 + y_rel;
-      if (z >= nz || yg < 0 || yg >= ny) {
-        std::fill(row, row + bx, 0.0f);
-        continue;
-      }
-      std::fill(row, row + grid_lo, 0.0f);
-      if (grid_hi > grid_lo) {
-        std::memcpy(row + grid_lo, &in.at(x0 + grid_lo, yg, z),
-                    std::size_t(grid_hi - grid_lo) * sizeof(float));
-      }
-      std::fill(row + grid_hi, row + bx, 0.0f);
+      const bool on_grid = z < nz && yg >= 0 && yg < ny;
+      load_row(content(0, z, y_rel), load_x,
+               on_grid ? &in.at(0, yg, z) : nullptr, x0, nx);
     }
 
-    // --- update: stage-k planes that just became computable ---
+    // --- update: stage-k cone planes that just became computable ---
     for (int k = 1; k <= steps; ++k) {
       const std::int64_t p = z - std::int64_t(k) * Rad;
       if (p < 0) break;
+      const Span cx = stage_cone<Rad>(wx, steps, k);
+      const Span cy = stage_cone<Rad>(wy, steps, k);
       if (p >= nz) {  // off-grid center plane: zeros, overwriting the slot
-        for (std::int64_t y_rel = 0; y_rel < by; ++y_rel) {
+        for (std::int64_t y_rel = cy.lo; y_rel < cy.hi; ++y_rel) {
           float* row = content(k, p, y_rel);
-          std::fill(row, row + bx, 0.0f);
+          std::fill(row + cx.lo, row + cx.hi, 0.0f);
         }
         continue;
       }
@@ -357,11 +390,11 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
       for (std::int64_t j = 0; j < W; ++j) {
         zsel[std::size_t(j)] = clamp_index(p + j - Rad, 0, nz - 1);
       }
-      for (std::int64_t y_rel = 0; y_rel < by; ++y_rel) {
+      for (std::int64_t y_rel = cy.lo; y_rel < cy.hi; ++y_rel) {
         float* dst = content(k, p, y_rel);
         const std::int64_t yg = y0 + y_rel;
         if (yg < 0 || yg >= ny) {
-          std::fill(dst, dst + bx, 0.0f);
+          std::fill(dst + cx.lo, dst + cx.hi, 0.0f);
           continue;
         }
         std::array<std::int64_t, W> ydel;
@@ -373,24 +406,22 @@ void run_block(const BlockingPlan& plan, const BlockExtent& blk,
           rows[t] = content(k - 1, zsel[std::size_t(offs.dz[t] + Rad)],
                             y_rel + ydel[std::size_t(offs.dy[t] + Rad)]);
         }
-        compute_row<N, ParVec>(dst, bx, x0, nx, Rad, rows, offs.dx.data(), cf);
+        computed += compute_row<N, ParVec>(dst, cx, x0, nx, Rad, rows,
+                                           offs.dx.data(), cf);
       }
     }
 
     // --- write: retire the finished plane ---
     const std::int64_t pout = z - std::int64_t(steps) * Rad;
-    if (pout < 0 || pout >= nz || wx_hi <= wx_lo) continue;
-    for (std::int64_t y_rel = wy_lo; y_rel < wy_hi; ++y_rel) {
-      std::memcpy(&out.at(x0 + wx_lo, y0 + y_rel, pout),
-                  content(steps, pout, y_rel) + wx_lo,
-                  std::size_t(wx_hi - wx_lo) * sizeof(float));
-      stats.cells_written += wx_hi - wx_lo;
+    if (pout < 0 || pout >= nz) continue;
+    for (std::int64_t y_rel = wy.lo; y_rel < wy.hi; ++y_rel) {
+      std::memcpy(&out.at(x0 + wx.lo, y0 + y_rel, pout),
+                  content(steps, pout, y_rel) + wx.lo,
+                  std::size_t(wx.hi - wx.lo) * sizeof(float));
+      stats.cells_written += wx.hi - wx.lo;
     }
   }
-
-  stats.cells_streamed += plan.cells_streamed_per_pass;
-  stats.vectors_processed += plan.cells_streamed_per_pass / cfg.parvec;
-  ++stats.block_passes;
+  stats.cells_computed += computed;
 }
 
 }  // namespace kernels_detail
@@ -402,6 +433,9 @@ void run_specialized(const BlockingPlan& plan, const BlockExtent& blk,
                      const CancellationToken* cancel) {
   kernels_detail::run_block<Shape, Rad, ParVec>(plan, blk, in, out, steps,
                                                 coeffs, stats, cancel);
+  stats.cells_streamed += plan.cells_streamed_per_pass;
+  stats.vectors_processed += plan.cells_streamed_per_pass / plan.config.parvec;
+  ++stats.block_passes;
 }
 
 }  // namespace fpga_stencil

@@ -360,6 +360,9 @@ int cmd_simulate(const Args& a) {
             << stats.cells_streamed << ", redundancy "
             << format_fixed(stats.redundancy(), 3) << "x, pipeline cycles "
             << stats.vectors_processed << "\n"
+            << "  cells computed " << stats.cells_computed
+            << ", compute redundancy "
+            << format_fixed(stats.compute_redundancy(), 4) << "x\n"
             << "  verification vs naive reference: " << cmp.summary()
             << "\n";
   return cmp.identical() ? 0 : 1;
@@ -900,6 +903,7 @@ int cmd_blockpar(const Args& a) {
   double baseline_wall = 0.0;
   double baseline_cells_per_s = 0.0;
   double redundancy = 0.0;
+  double compute_redundancy = 0.0;
   bool all_exact = true;
 
   const auto campaign = [&](auto initial) {
@@ -928,6 +932,7 @@ int cmd_blockpar(const Args& a) {
       row.exact = compare_exact(g, oracle).identical();
       all_exact = all_exact && row.exact;
       redundancy = stats.redundancy();
+      compute_redundancy = stats.compute_redundancy();
       rows.push_back(row);
     }
   };
@@ -964,6 +969,7 @@ int cmd_blockpar(const Args& a) {
   const bool gate_ok =
       !gate_checked || best_speedup >= 0.375 * double(max_workers);
   std::cout << "redundancy " << format_fixed(redundancy, 3)
+            << "x, compute redundancy " << format_fixed(compute_redundancy, 3)
             << "x, best speedup " << format_fixed(best_speedup, 2) << "x ("
             << hc << " hardware threads; scaling gate "
             << (gate_checked ? (gate_ok ? "passed" : "FAILED") : "skipped")
