@@ -36,7 +36,6 @@
 #include "core/plan_candidates.hpp"
 #include "core/stencil_accelerator.hpp"
 #include "grid/grid_compare.hpp"
-#include "kernels/kernel_registry.hpp"
 #include "stencil/box_stencil.hpp"
 #include "stencil/star_stencil.hpp"
 #include "tune/host_autotuner.hpp"
@@ -57,7 +56,7 @@ struct Options {
 
 struct PointResult {
   std::string name;
-  StencilShape shape = StencilShape::kStar;
+  std::string shape;  ///< "star" or "box"
   int dims = 2, radius = 1, parvec = 1;
   std::int64_t nx = 0, ny = 0, nz = 1;
   int iters = 0;
@@ -78,8 +77,8 @@ struct PointResult {
   }
 };
 
-TapSet envelope_taps(StencilShape shape, int dims, int radius) {
-  if (shape == StencilShape::kStar) {
+TapSet envelope_taps(const std::string& shape, int dims, int radius) {
+  if (shape == "star") {
     return StarStencil::make_benchmark(dims, radius, 99).to_taps();
   }
   return make_box_stencil(dims, radius, 99);
@@ -140,8 +139,8 @@ bool same_geometry(const AcceleratorConfig& a, const AcceleratorConfig& b) {
 }
 
 template <typename GridT>
-PointResult measure_point(HostAutotuner& tuner, StencilShape shape, int radius,
-                          const GridT& init, GridT& work) {
+PointResult measure_point(HostAutotuner& tuner, const std::string& shape,
+                          int radius, const GridT& init, GridT& work) {
   constexpr int dims = std::is_same_v<GridT, Grid3D<float>> ? 3 : 2;
   const int parvec = 4;
   const TapSet taps = envelope_taps(shape, dims, radius);
@@ -156,8 +155,7 @@ PointResult measure_point(HostAutotuner& tuner, StencilShape shape, int radius,
   r.ny = init.ny();
   if constexpr (dims == 3) r.nz = init.nz();
   r.iters = base.partime;
-  r.name = std::string(stencil_shape_name(shape)) + "_" +
-           std::to_string(dims) + "d_r" + std::to_string(radius);
+  r.name = shape + "_" + std::to_string(dims) + "d_r" + std::to_string(radius);
   const std::int64_t cells = r.nx * r.ny * r.nz;
 
   // Search first (its probes never touch `work`), then measure for real.
@@ -270,7 +268,7 @@ int main(int argc, char** argv) {
   std::vector<PointResult> envelope;
   std::cout << "point          default(" << "geom)      model(geom)       "
                "tuned(geom)       gain   exact\n";
-  for (StencilShape shape : {StencilShape::kStar, StencilShape::kBox}) {
+  for (const std::string shape : {"star", "box"}) {
     for (int dims : {2, 3}) {
       for (int rad = 1; rad <= 4; ++rad) {
         const PointResult r =
@@ -291,7 +289,7 @@ int main(int argc, char** argv) {
 
   // ---- acceptance point: tuned vs the PR 7 acceptance geometry ----
   const AcceleratorConfig acfg = acceptance_config();
-  const TapSet ataps = envelope_taps(StencilShape::kStar, 3, 4);
+  const TapSet ataps = envelope_taps("star", 3, 4);
   Grid3D<float> ainit(opt.accept_n, opt.accept_n, opt.accept_n);
   ainit.fill_random(33, -1.0f, 1.0f);
   const int aiters = acfg.partime;
@@ -343,7 +341,7 @@ int main(int argc, char** argv) {
     for (const PointResult& r : envelope) {
       w.begin_object();
       w.key("name").value(r.name);
-      w.key("shape").value(stencil_shape_name(r.shape));
+      w.key("shape").value(r.shape);
       w.key("dims").value(r.dims);
       w.key("radius").value(r.radius);
       w.key("parvec").value(r.parvec);

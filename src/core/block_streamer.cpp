@@ -1,11 +1,10 @@
 #include "core/block_streamer.hpp"
 
-#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/stopwatch.hpp"
-#include "kernels/kernel_registry.hpp"
-#include "kernels/kernel_workspace.hpp"
+#include "kernels/array_kernel.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fpga_stencil {
@@ -23,52 +22,61 @@ std::int64_t wrap_index(std::int64_t i, std::int64_t n) {
   return m < 0 ? m + n : m;
 }
 
-/// Runs the block on a registry kernel if this configuration has one.
-/// Returns false (off-envelope or dispatch disabled) when the caller
-/// must fall back to the interpreter. Telemetry, when attached: hit/miss
-/// counters plus a per-kernel retired-cell throughput gauge.
-template <typename GridT>
-bool try_specialized(std::vector<ProcessingElement>& pes,
-                     const BlockingPlan& plan, const BlockExtent& blk,
-                     const GridT& in, GridT& out, int steps, RunStats& stats,
-                     const CancellationToken* cancel) {
-  const AcceleratorConfig& cfg = plan.config;
-  if (!cfg.use_specialized_kernels || pes.empty()) return false;
-  const TapSet& taps = pes.front().taps();
-  // Specialized kernels hard-code the clamp border select-chains
-  // (kernels/run_specialized_impl.hpp); every other boundary condition
-  // takes the generic interpreter below.
-  if (!taps.boundary().is_clamp()) return false;
-  const SpecializedKernel* kernel = KernelRegistry::instance().find(taps, cfg);
-  if (kernel == nullptr) return false;
-  Telemetry* const tel = cfg.telemetry;
-  if (tel) tel->metrics().counter("kernels.dispatch_specialized").add(1);
-
-  // Coefficients travel as runtime data in tap (= accumulation) order;
-  // one specialized instantiation serves every coefficient set.
-  std::vector<float>& cf = tls_kernel_workspace().coefficients();
-  cf.resize(taps.size());
-  for (std::size_t i = 0; i < taps.size(); ++i) {
-    cf[i] = taps.taps()[i].coeff;
+/// The fallback counter naming why a block must run on the interpreter,
+/// or null when it runs on the array kernel. The kernel takes any tap
+/// set, radius and parvec; only two things keep a block off it.
+const char* fallback_reason(const AcceleratorConfig& cfg, const TapSet& taps) {
+  if (!cfg.use_specialized_kernels) return "kernels.dispatch_fallback.disabled";
+  // The kernel hard-codes the clamp border select-chains
+  // (kernels/array_kernel.hpp).
+  if (!taps.boundary().is_clamp()) {
+    return "kernels.dispatch_fallback.non_clamp_bc";
   }
+  return nullptr;
+}
 
+/// Runs the block on the array kernel, or on the interpreter when
+/// fallback_reason names one. Telemetry, when attached: dispatch and
+/// fallback counters (total and per reason) plus a retired-cell
+/// throughput gauge for kernel blocks.
+template <typename GridT>
+void dispatch_block(std::vector<ProcessingElement>& pes,
+                    const BlockingPlan& plan, const BlockExtent& blk,
+                    const GridT& in, GridT& out, int steps,
+                    std::span<float> va, std::span<float> vb, RunStats& stats,
+                    const CancellationToken* cancel) {
+  FPGASTENCIL_ASSERT(!pes.empty(), "block streamed without a PE chain");
+  const TapSet& taps = pes.front().taps();
+  Telemetry* const tel = plan.config.telemetry;
+  if (const char* reason = fallback_reason(plan.config, taps)) {
+    if (tel) {
+      tel->metrics().counter("kernels.dispatch_fallback").add(1);
+      tel->metrics().counter(reason).add(1);
+    }
+    stream_block_generic(pes, plan, blk, in, out, steps, va, vb, stats,
+                         cancel);
+    return;
+  }
+  const auto run_kernel = [&] {
+    if constexpr (std::is_same_v<GridT, Grid2D<float>>) {
+      run_block_2d(plan, blk, taps, in, out, steps, stats, cancel);
+    } else {
+      run_block_3d(plan, blk, taps, in, out, steps, stats, cancel);
+    }
+  };
+  if (!tel) {
+    run_kernel();
+    return;
+  }
+  tel->metrics().counter("kernels.dispatch_specialized").add(1);
   const std::int64_t written_before = stats.cells_written;
   const Stopwatch clock;
-  if constexpr (std::is_same_v<GridT, Grid2D<float>>) {
-    kernel->run_2d(plan, blk, in, out, steps, cf.data(), stats, cancel);
-  } else {
-    kernel->run_3d(plan, blk, in, out, steps, cf.data(), stats, cancel);
+  run_kernel();
+  const std::int64_t ns = clock.nanoseconds();
+  if (ns > 0) {
+    tel->metrics().gauge("kernels.cells_per_s")
+        .set((stats.cells_written - written_before) * 1'000'000'000 / ns);
   }
-  if (tel) {
-    const std::int64_t ns = clock.nanoseconds();
-    const std::int64_t cells = stats.cells_written - written_before;
-    if (ns > 0) {
-      tel->metrics()
-          .gauge(std::string("kernels.") + kernel->name + ".cells_per_s")
-          .set(cells * 1'000'000'000 / ns);
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -78,12 +86,7 @@ void stream_block(std::vector<ProcessingElement>& pes,
                   const Grid2D<float>& in, Grid2D<float>& out, int steps,
                   std::span<float> va, std::span<float> vb, RunStats& stats,
                   const CancellationToken* cancel) {
-  if (try_specialized(pes, plan, blk, in, out, steps, stats, cancel)) return;
-  if (plan.config.telemetry) {
-    plan.config.telemetry->metrics().counter("kernels.dispatch_fallback")
-        .add(1);
-  }
-  stream_block_generic(pes, plan, blk, in, out, steps, va, vb, stats, cancel);
+  dispatch_block(pes, plan, blk, in, out, steps, va, vb, stats, cancel);
 }
 
 void stream_block(std::vector<ProcessingElement>& pes,
@@ -91,12 +94,7 @@ void stream_block(std::vector<ProcessingElement>& pes,
                   const Grid3D<float>& in, Grid3D<float>& out, int steps,
                   std::span<float> va, std::span<float> vb, RunStats& stats,
                   const CancellationToken* cancel) {
-  if (try_specialized(pes, plan, blk, in, out, steps, stats, cancel)) return;
-  if (plan.config.telemetry) {
-    plan.config.telemetry->metrics().counter("kernels.dispatch_fallback")
-        .add(1);
-  }
-  stream_block_generic(pes, plan, blk, in, out, steps, va, vb, stats, cancel);
+  dispatch_block(pes, plan, blk, in, out, steps, va, vb, stats, cancel);
 }
 
 void stream_block_generic(std::vector<ProcessingElement>& pes,

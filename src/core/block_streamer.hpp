@@ -8,25 +8,26 @@
 // Both call these functions, so their outputs are bit-exact with each
 // other by construction, not by coincidence.
 //
-// stream_block is a dispatcher since PR 7: when the configuration's tap
-// set and parvec are inside the KernelRegistry envelope (and
-// cfg.use_specialized_kernels, the default), the block runs on a
-// compile-time-specialized vectorized kernel (src/kernels); otherwise it
-// runs on the scalar interpreter below. The two paths are bit-exact, so
-// every backend (sync, block-parallel, resilient, engine) gets the
-// speedup without a semantic change. stream_block_generic exposes the
-// interpreter directly -- it is the semantic reference the kernels are
-// tested against and the baseline the dispatch microbench measures.
+// stream_block is a dispatcher with one rule: when
+// cfg.use_specialized_kernels (the default) is set and the tap set's
+// boundary condition is clamp, the block runs on the vectorized
+// runtime-tap array kernel (src/kernels), whatever its tap order, radius
+// or parvec; otherwise it runs on the scalar interpreter below. The two
+// paths are bit-exact, so every backend (sync, block-parallel,
+// resilient, engine) gets the speedup without a semantic change.
+// stream_block_generic exposes the interpreter directly -- it is the
+// semantic reference the kernel is tested against and the baseline the
+// dispatch microbench measures.
 //
 // A call touches only its arguments: the PE chain and the lane buffers
 // `va`/`vb` (each cfg.parvec floats) must be private to the caller
 // (thread), while `in`/`out` may be shared across concurrent calls --
 // reads are unrestricted and each block writes only its own disjoint
-// compute region. (The specialized path additionally uses a
-// thread-local scratch slab internal to src/kernels.)
+// compute region. (The array kernel additionally uses a thread-local
+// scratch slab internal to src/kernels.)
 //
 // Cancellation: a non-null `cancel` token is checked every few hundred
-// vectors (interpreter) / every streamed plane (specialized); a tripped
+// vectors (interpreter) / every streamed plane (array kernel); a tripped
 // token aborts the block by throwing CancelledError /
 // DeadlineExceededError. The block's partial writes land only in `out`
 // (the pass's scratch side), which the caller discards on unwind, so the
@@ -43,8 +44,9 @@ namespace fpga_stencil {
 
 /// Streams one 2D block (1.5D blocking: x blocked, y streamed) through
 /// `pes` for a pass of `steps <= partime` time steps, retiring valid
-/// cells of the block's compute region into `out`. Dispatches to a
-/// specialized kernel when the registry has one for this configuration.
+/// cells of the block's compute region into `out`. Dispatches to the
+/// array kernel for clamp tap sets unless cfg.use_specialized_kernels is
+/// off.
 void stream_block(std::vector<ProcessingElement>& pes,
                   const BlockingPlan& plan, const BlockExtent& blk,
                   const Grid2D<float>& in, Grid2D<float>& out, int steps,
@@ -58,7 +60,7 @@ void stream_block(std::vector<ProcessingElement>& pes,
                   std::span<float> va, std::span<float> vb, RunStats& stats,
                   const CancellationToken* cancel = nullptr);
 
-/// The scalar interpreter, bypassing the KernelRegistry unconditionally.
+/// The scalar interpreter, bypassing the array kernel unconditionally.
 /// Semantic reference for tests/kernels_test.cpp and baseline for
 /// bench/microbench_kernel_dispatch.cpp.
 void stream_block_generic(std::vector<ProcessingElement>& pes,

@@ -81,10 +81,6 @@ HostProfile detect() {
   if (p.llc_bytes <= 0) p.llc_bytes = 8 * 1024 * 1024;
   if (p.llc_bytes < p.l2_bytes) p.llc_bytes = p.l2_bytes;
 
-#if defined(FPGASTENCIL_HOST_NATIVE_ARCH)
-  p.native_arch = true;
-#endif
-
 #if defined(__clang__)
   p.compiler = std::string("clang ") + std::to_string(__clang_major__) + "." +
                std::to_string(__clang_minor__) + "." +
@@ -105,7 +101,7 @@ std::string HostProfile::fingerprint() const {
   std::ostringstream os;
   os << "c" << cores << "-l1:" << l1_bytes / 1024 << "k-l2:" << l2_bytes / 1024
      << "k-llc:" << llc_bytes / 1024 << "k-"
-     << (native_arch ? "native" : "portable") << "-";
+     << "portable-";
   for (const char c : compiler) os << (c == ' ' ? '_' : c);
   return os.str();
 }

@@ -1,6 +1,6 @@
 // The execution host, as the autotuner and bench artifacts see it: core
-// count, cache hierarchy sizes, and the toolchain/arch flags that change
-// generated code. The fingerprint keys TuningCache entries (a tuned plan
+// count, cache hierarchy sizes, and the toolchain that generated the
+// code. The fingerprint keys TuningCache entries (a tuned plan
 // is a fact about one machine + one build) and stamps every BENCH_*.json
 // so cross-host numbers are comparable.
 #pragma once
@@ -17,7 +17,11 @@ struct HostProfile {
   std::int64_t l1_bytes = 0;    ///< per-core L1 data cache
   std::int64_t l2_bytes = 0;    ///< per-core (or per-cluster) L2
   std::int64_t llc_bytes = 0;   ///< last-level cache (L3, or L2 when no L3)
-  bool native_arch = false;     ///< built with FPGASTENCIL_NATIVE_ARCH
+  /// Every build targets the baseline ISA (no -march=native, so no FMA
+  /// contraction and bit-exact kernels). Kept as a constant so the
+  /// "native_arch" key of the bench host block and the "-portable-" part
+  /// of the fingerprint stay byte-identical for existing TuningCache files.
+  static constexpr bool native_arch = false;
   std::string compiler;         ///< e.g. "gcc 13.2.0"
 
   /// Stable identity string, e.g. "c8-l1:32k-l2:512k-llc:16384k-portable-

@@ -4,7 +4,6 @@
 
 #include "codegen/kernel_generator.hpp"
 #include "core/stencil_accelerator.hpp"
-#include "kernels/kernel_registry.hpp"
 #include "tune/host_autotuner.hpp"
 
 namespace fpga_stencil {
@@ -105,9 +104,8 @@ std::shared_ptr<const CachedPlan> PlanCache::lookup_or_build(
   AcceleratorConfig clean = cfg;
   clean.telemetry = nullptr;
   // Tuning happens here -- once per cached plan, outside the lock, in the
-  // submitting worker's thread with its cancellation token -- exactly like
-  // specialized-kernel resolution below. Jobs that hit the cache never pay
-  // a probe.
+  // submitting worker's thread with its cancellation token. Jobs that hit
+  // the cache never pay a probe.
   if (mode != AutotuneMode::off) {
     if (const std::optional<AutotuneOutcome> tuned = autotune.tuner->resolve(
             taps, clean, nx, ny, nz, mode, autotune.cancel)) {
@@ -126,15 +124,6 @@ std::shared_ptr<const CachedPlan> PlanCache::lookup_or_build(
       generate_tap_kernel_source(taps, {plan->config, false});
   plan->kernel_fingerprint = fnv_bytes(source);
   plan->kernel_source_bytes = std::int64_t(source.size());
-  // Resolve the dispatch target once per plan; stream_block re-derives
-  // the same answer per block (same registry, same structural match), so
-  // the handle is a cached fact about the plan, not a side channel.
-  // Specialized kernels hard-code the clamp border chains; every other
-  // boundary condition runs on the generic interpreter.
-  if (plan->config.use_specialized_kernels && taps.boundary().is_clamp()) {
-    plan->specialized_kernel = KernelRegistry::instance().find(taps,
-                                                              plan->config);
-  }
 
   std::lock_guard<std::mutex> lock(mu_);
   ++misses_;

@@ -72,8 +72,8 @@ class ProcessingElement {
   [[nodiscard]] int stage() const { return stage_; }
   [[nodiscard]] const AcceleratorConfig& config() const { return cfg_; }
 
-  /// The ordered tap set this PE executes (the KernelRegistry's dispatch
-  /// hook matches it structurally against the canonical star/box orders).
+  /// The ordered tap set this PE executes (stream_block hands it to the
+  /// array kernel as runtime data).
   [[nodiscard]] const TapSet& taps() const { return taps_; }
 
   /// Actual shift-register size for this tap set; equals the paper's

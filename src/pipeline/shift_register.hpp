@@ -86,8 +86,8 @@ class ShiftRegister {
 /// contiguous and vectorizable.
 ///
 /// Non-owning: `storage` must hold depth * plane_cells elements and
-/// outlive the view (the kernels carve these out of the thread-local
-/// KernelWorkspace slab).
+/// outlive the view (the array kernel carves these out of its
+/// thread-local slab).
 template <typename T>
 class PlanarShiftRegister {
  public:

@@ -38,14 +38,12 @@ struct AcceleratorConfig {
   /// the tap set.
   int stage_lag = 0;
 
-  /// Dispatch gate for the compile-time-specialized kernel library
-  /// (src/kernels). When true (the default), stream_block resolves the
-  /// tap set against the KernelRegistry and runs the specialized kernel
-  /// if the configuration is inside the envelope; when false -- or for
-  /// any off-envelope configuration -- the scalar interpreter runs.
-  /// Never changes results (specialized kernels are bit-exact with the
-  /// interpreter); exists so benchmarks and tests can pin the
-  /// interpreter as the baseline/oracle.
+  /// Dispatch gate for the vectorized array kernel (src/kernels). When
+  /// true (the default), stream_block runs every clamp tap set on the
+  /// kernel; when false -- or for any other boundary condition -- the
+  /// scalar interpreter runs. Never changes results (the kernel is
+  /// bit-exact with the interpreter); exists so benchmarks and tests can
+  /// pin the interpreter as the baseline/oracle.
   bool use_specialized_kernels = true;
 
   /// Opt-in observability hook, honored by every execution layer

@@ -88,8 +88,8 @@ HostAutotuner::HostAutotuner(HostAutotunerOptions options)
 std::string HostAutotuner::stencil_fingerprint(const TapSet& taps,
                                                const AcceleratorConfig& base) {
   // Everything tuning may NOT change is part of the identity: the stencil
-  // itself, dims/radius, the vector width envelope, and whether the
-  // specialized kernel library is in play (it changes which code runs).
+  // itself, dims/radius, the vector width, and whether the array kernel
+  // is in play (it changes which code runs).
   std::ostringstream os;
   os << hex64(taps_value_hash(taps)) << "-d" << base.dims << "r" << base.radius
      << "v" << base.parvec << "l" << base.stage_lag

@@ -108,8 +108,8 @@ class HostAutotuner {
   }
 
   /// Key parts (docs/TUNING.md). The stencil fingerprint covers shape
-  /// identity (tap offsets + coefficients), dims, radius, and the parvec
-  /// envelope; the extents-class quantizes grid extents so one search
+  /// identity (tap offsets + coefficients), dims, radius, and parvec;
+  /// the extents-class quantizes grid extents so one search
   /// serves similar grids.
   [[nodiscard]] static std::string stencil_fingerprint(
       const TapSet& taps, const AcceleratorConfig& base);

@@ -124,7 +124,6 @@
 #include "fpga/fmax_model.hpp"
 #include "fpga/power_model.hpp"
 #include "grid/grid_compare.hpp"
-#include "kernels/kernel_registry.hpp"
 #include "model/performance_model.hpp"
 #include "ocl/opencl_shim.hpp"
 #include "program/program_reference.hpp"
@@ -2034,8 +2033,8 @@ int cmd_serve(const Args& a) {
 // integration self-check instead: one search on the first job, then a
 // tuner.cache_hit for every later job on the same spec.
 
-TapSet tune_taps(StencilShape shape, int dims, int radius) {
-  if (shape == StencilShape::kStar) {
+TapSet tune_taps(const std::string& shape, int dims, int radius) {
+  if (shape == "star") {
     return StarStencil::make_benchmark(dims, radius, 99).to_taps();
   }
   return make_box_stencil(dims, radius, 99);
@@ -2083,7 +2082,7 @@ double tune_time_run(const TapSet& taps, const AcceleratorConfig& cfg,
 
 struct TunePoint {
   std::string name;
-  StencilShape shape = StencilShape::kStar;
+  std::string shape;  ///< "star" or "box"
   int dims = 2, radius = 1, parvec = 4;
   std::int64_t nx = 0, ny = 0, nz = 1;
   int iters = 0;
@@ -2105,8 +2104,8 @@ struct TunePoint {
 };
 
 template <typename GridT>
-TunePoint tune_point(HostAutotuner& tuner, StencilShape shape, int radius,
-                     const GridT& init) {
+TunePoint tune_point(HostAutotuner& tuner, const std::string& shape,
+                     int radius, const GridT& init) {
   constexpr int dims = std::is_same_v<GridT, Grid3D<float>> ? 3 : 2;
   const TapSet taps = tune_taps(shape, dims, radius);
   const AcceleratorConfig base = tune_default_config(dims, radius);
@@ -2120,8 +2119,7 @@ TunePoint tune_point(HostAutotuner& tuner, StencilShape shape, int radius,
   r.ny = init.ny();
   if constexpr (dims == 3) r.nz = init.nz();
   r.iters = base.partime;
-  r.name = std::string(stencil_shape_name(shape)) + "_" +
-           std::to_string(dims) + "d_r" + std::to_string(radius);
+  r.name = shape + "_" + std::to_string(dims) + "d_r" + std::to_string(radius);
   const std::int64_t cells = r.nx * r.ny * r.nz;
 
   // Search first (its probes never touch the measurement grids), then
@@ -2259,7 +2257,7 @@ int cmd_tune(const Args& a) {
   std::vector<TunePoint> envelope;
   TextTable t({"point", "default Mc/s", "tuned Mc/s", "tuned geom", "gain",
                "probes", "exact"});
-  for (StencilShape shape : {StencilShape::kStar, StencilShape::kBox}) {
+  for (const std::string shape : {"star", "box"}) {
     for (int dims : {2, 3}) {
       for (int rad = 1; rad <= 4; ++rad) {
         const TunePoint r = dims == 2
@@ -2286,7 +2284,7 @@ int cmd_tune(const Args& a) {
   acfg.partime = 4;
   acfg.bsize_x = 144;
   acfg.bsize_y = 144;
-  const TapSet ataps = tune_taps(StencilShape::kStar, 3, 4);
+  const TapSet ataps = tune_taps("star", 3, 4);
   Grid3D<float> ainit(accept_n, accept_n, accept_n);
   ainit.fill_random(33, -1.0f, 1.0f);
   const int aiters = acfg.partime;
@@ -2341,7 +2339,7 @@ int cmd_tune(const Args& a) {
     for (const TunePoint& r : envelope) {
       w.begin_object();
       w.key("name").value(r.name);
-      w.key("shape").value(stencil_shape_name(r.shape));
+      w.key("shape").value(r.shape);
       w.key("dims").value(r.dims);
       w.key("radius").value(r.radius);
       w.key("parvec").value(r.parvec);
