@@ -42,6 +42,21 @@ constexpr std::int64_t clamp_index(std::int64_t i, std::int64_t lo,
   return i < lo ? lo : (i > hi ? hi : i);
 }
 
+/// Wraps an index into [0, n): the periodic boundary condition.
+constexpr std::int64_t wrap_index(std::int64_t i, std::int64_t n) {
+  const std::int64_t m = i % n;
+  return m < 0 ? m + n : m;
+}
+
+/// Mirrors an index about the boundary cell: -k -> k, n-1+k -> n-1-k (the
+/// reflective boundary condition; the edge cell is not duplicated). A
+/// single reflection, so callers validate n > the reach of any tap.
+constexpr std::int64_t mirror_index(std::int64_t i, std::int64_t n) {
+  if (i < 0) return -i;
+  if (i >= n) return 2 * n - 2 - i;
+  return i;
+}
+
 /// True if `v` is a power of two (v > 0).
 constexpr bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 

@@ -16,22 +16,12 @@ namespace {
 /// the engine promises for cancel().
 constexpr std::int64_t kCancelCheckMask = 511;
 
-/// Modular wrap into [0, n) for periodic fetches.
-std::int64_t wrap_index(std::int64_t i, std::int64_t n) {
-  const std::int64_t m = i % n;
-  return m < 0 ? m + n : m;
-}
-
 /// The fallback counter naming why a block must run on the interpreter,
 /// or null when it runs on the array kernel. The kernel takes any tap
-/// set, radius and parvec; only two things keep a block off it.
-const char* fallback_reason(const AcceleratorConfig& cfg, const TapSet& taps) {
+/// set, radius, parvec and boundary condition, so the only reason left
+/// is an explicit opt-out.
+const char* fallback_reason(const AcceleratorConfig& cfg) {
   if (!cfg.use_specialized_kernels) return "kernels.dispatch_fallback.disabled";
-  // The kernel hard-codes the clamp border select-chains
-  // (kernels/array_kernel.hpp).
-  if (!taps.boundary().is_clamp()) {
-    return "kernels.dispatch_fallback.non_clamp_bc";
-  }
   return nullptr;
 }
 
@@ -48,7 +38,7 @@ void dispatch_block(std::vector<ProcessingElement>& pes,
   FPGASTENCIL_ASSERT(!pes.empty(), "block streamed without a PE chain");
   const TapSet& taps = pes.front().taps();
   Telemetry* const tel = plan.config.telemetry;
-  if (const char* reason = fallback_reason(plan.config, taps)) {
+  if (const char* reason = fallback_reason(plan.config)) {
     if (tel) {
       tel->metrics().counter("kernels.dispatch_fallback").add(1);
       tel->metrics().counter(reason).add(1);

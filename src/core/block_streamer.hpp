@@ -9,10 +9,10 @@
 // other by construction, not by coincidence.
 //
 // stream_block is a dispatcher with one rule: when
-// cfg.use_specialized_kernels (the default) is set and the tap set's
-// boundary condition is clamp, the block runs on the vectorized
-// runtime-tap array kernel (src/kernels), whatever its tap order, radius
-// or parvec; otherwise it runs on the scalar interpreter below. The two
+// cfg.use_specialized_kernels (the default) is set, the block runs on the
+// vectorized runtime-tap array kernel (src/kernels), whatever its tap
+// order, radius, parvec or boundary condition; otherwise it runs on the
+// scalar interpreter below. The two
 // paths are bit-exact, so every backend (sync, block-parallel,
 // resilient, engine) gets the speedup without a semantic change.
 // stream_block_generic exposes the interpreter directly -- it is the
@@ -45,8 +45,7 @@ namespace fpga_stencil {
 /// Streams one 2D block (1.5D blocking: x blocked, y streamed) through
 /// `pes` for a pass of `steps <= partime` time steps, retiring valid
 /// cells of the block's compute region into `out`. Dispatches to the
-/// array kernel for clamp tap sets unless cfg.use_specialized_kernels is
-/// off.
+/// array kernel unless cfg.use_specialized_kernels is off.
 void stream_block(std::vector<ProcessingElement>& pes,
                   const BlockingPlan& plan, const BlockExtent& blk,
                   const Grid2D<float>& in, Grid2D<float>& out, int steps,

@@ -16,15 +16,11 @@ AcceleratorConfig resolve_stage_lag(const TapSet& taps,
   FPGASTENCIL_EXPECT(taps.dims() == cfg.dims && taps.radius() <= cfg.radius,
                      "tap set and configuration disagree on dims/radius");
   if (cfg.stage_lag == 0) {
-    std::int64_t max_flat = taps.max_flat_offset(cfg.bsize_x, cfg.row_cells());
-    // Reflective borders can mirror any tap to its abs-valued image, so
-    // the shift register's forward reach is the abs worst case (equal to
-    // the plain max for star/box sets, larger only for asymmetric shapes).
-    if (taps.boundary().kind == BoundaryKind::reflective) {
-      max_flat = std::max(max_flat,
-                          taps.max_abs_flat_offset(cfg.bsize_x,
-                                                   cfg.row_cells()));
-    }
+    // The forward reach of every border image, not just the plain
+    // offsets: a clamped or mirrored tap can reach further than any
+    // unclamped one.
+    const std::int64_t max_flat =
+        taps.forward_reach(cfg.bsize_x, cfg.row_cells());
     const std::int64_t rows = ceil_div(
         std::max<std::int64_t>(max_flat, 1), cfg.row_cells());
     cfg.stage_lag = static_cast<int>(std::max<std::int64_t>(rows, 1));

@@ -8,26 +8,51 @@
 // mathematical recurrence in array form: per temporal stage a rolling
 // window (PlanarShiftRegister) of the last 2*R + 1 stream planes
 // (z-planes in 3D, x-rows in 2D), R = taps.radius(), advanced one stream
-// index per outer iteration:
+// index per outer iteration. 2D runs as 3D with one y row per plane and
+// the 2D y axis streamed:
 //
-//   for z in [0, nz + steps*R):            // streamed dim + pipeline drain
+//   for z in [-P, nz + steps*R):           // streamed dim + pipeline drain
 //     read  : load stage 0's cone of input plane z into its window
-//             (zero off-grid)
 //     update: for k = 1..steps, plane p = z - k*R of stage k becomes
 //             computable (its +R source in stage k-1 just landed);
 //             compute its cone row by row from stage k-1's window
 //     write : plane z - steps*R of stage `steps` is final; retire its
 //             valid compute region into `out`
 //
-// Per cell the arithmetic is the interpreter's exactly: taps accumulate
-// in tap order (acc = c0*t0; acc += ct*tt), every tap clamps toward the
-// grid per axis, out-of-grid centers yield zero. Stream-dim and row
-// clamping are uniform over a row, so they are hoisted: per (stage,
-// plane) the 2R+1 clamped source planes (3D) / rows (2D), per row the
-// 2R+1 y-clamped row deltas, and from those one source pointer per tap,
-// leaving only x-clamping in the lane loop -- and only in the border
-// segment. The interior segment (no tap can clamp) runs in kChunk-wide
-// chunks held in explicit 4-lane vector accumulators; each lane carries
+// (P = 0 except for periodic tap sets; see below.) Per cell the
+// arithmetic is the interpreter's exactly: taps accumulate in tap order
+// (acc = c0*t0; acc += ct*tt).
+//
+// ## Boundary conditions: ghost columns and index tables
+//
+// Every tap reads the value the reference's per-axis index function
+// picks (`apply_taps`: clamp_index, mirror_index, or the Dirichlet
+// constant off the grid), resolved without a per-cell branch:
+//
+//  - Streamed and y axes: the index function is uniform over a row, so
+//    it is hoisted into tables -- per (stage, plane) the 2R + 1 source
+//    planes (3D) / rows (2D), per row the 2R + 1 source rows -- and from
+//    those one source pointer per tap. A Dirichlet tap whose plane or
+//    row leaves the grid points at a workspace row holding the constant.
+//    Rows that remap nothing just advance the previous row's pointers.
+//  - x axis: after each stage row below the last is computed (and each
+//    stage-0 row loaded), the R ghost columns on each grid side inside
+//    the row's cone are written with the value the index function reads
+//    there: the edge cell (clamp), the mirrored cell (reflective) or the
+//    constant (Dirichlet). A ghost column holds exactly the value a
+//    select-chain would have fetched, so one vector loop runs over every
+//    in-grid cone column with no border split.
+//  - Periodic has no boundary at all, as in the interpreter's
+//    wrap-extended stream: stage-0 loads wrap in x and y, the streamed
+//    axis is pre-padded by P = steps*R wrapped planes (rows), and every
+//    cone cell -- off-grid ones included -- is computed as the real
+//    periodic image it stands for, reading plain tap offsets.
+//
+// Off-grid cells of the other conditions are never computed and never
+// read. Inside a plane the vector loop covers whole 4-wide chunks; the
+// row tail is one more chunk ending at the row's last column, which
+// recomputes identical cells (rows narrower than a chunk run per cell).
+// The chunks hold explicit 4-lane vector accumulators; each lane carries
 // an independent dependency chain in the interpreter's op order, and the
 // baseline ISA has no FMA to contract the separate multiply and add, so
 // vectorization cannot change results.
@@ -40,24 +65,27 @@
 //
 //   [w_lo - e_k, w_hi + e_k),   e_k = (steps - k)*R
 //
-// per blocked axis, where [w_lo, w_hi) is the block's retire window
-// (each stage widens the cone by at most R; clamping only pulls reads
-// inward, toward cells that are themselves in the cone). Stage k
-// (k = 1..steps) therefore computes exactly that range, and the input
-// load (stage 0) loads it with e_0 = steps*R -- so stage k's cone reads
-// only stage k-1's cone, and a short tail pass (steps < partime) also
-// skips the unused part of the halo. Off-grid centers inside a cone stay
-// zero; cells outside every cone are never written and never read.
+// per blocked axis (and per streamed axis, for periodic), where
+// [w_lo, w_hi) is the block's retire window (each stage widens the cone
+// by at most R; a boundary image only pulls reads inward, toward cells
+// that are themselves in the cone). Stage k (k = 1..steps) therefore
+// computes exactly that range, and the input load (stage 0) loads it
+// with e_0 = steps*R -- so stage k's cone reads only stage k-1's cone
+// and its ghost columns, and a short tail pass (steps < partime) also
+// skips the unused part of the halo.
 //
-// Since halo = partime*cfg.radius >= steps*R, every cone with k >= 1
-// stays at least R away from the block edge, so the zero padding (R cells
-// per side of each blocked axis) is never read by a computed cell, and
-// where the interpreter's ring reads wrapped rows near the block edge
-// both implementations compute only don't-care cells.
+// Since halo = partime*cfg.radius >= steps*R, the stage-0 cone lies in
+// the block and every later cone stays at least R inside it, so each
+// tap read and each ghost column lands in the row padding of R cells per
+// side. A cone that crosses a grid edge spans at least R + 1 in-grid
+// cells past it (its retire window is in the grid and non-empty), so the
+// cells a ghost copies are computed whenever the grid extent is > R,
+// which reflective boundaries require anyway.
 #include "kernels/array_kernel.hpp"
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/cancellation.hpp"
@@ -75,7 +103,7 @@ namespace {
 /// (docs/KERNELS.md); explicit vectors pin the shape.
 using Vec4 = float __attribute__((vector_size(16)));
 constexpr std::int64_t kVecLanes = 4;
-/// Accumulators per interior chunk, and the chunk width in columns.
+/// Accumulators per chunk, and the chunk width in columns.
 constexpr int kChunkVecs = 4;
 constexpr std::int64_t kChunk = kChunkVecs * kVecLanes;
 
@@ -87,6 +115,28 @@ inline Vec4 load4(const float* p) {
 
 inline void store4(float* p, Vec4 v) { std::memcpy(p, &v, sizeof v); }
 
+/// Marks a Dirichlet neighbour off the grid in the index tables.
+constexpr std::int64_t kGhost = std::numeric_limits<std::int64_t>::min();
+
+/// The source index along one axis of extent `n` for neighbour index `i`:
+/// the same per-axis rule as the reference's apply_taps, with kGhost for
+/// a Dirichlet neighbour off the grid. Periodic never remaps: its stream
+/// is wrap-extended, so `i` is already the image.
+inline std::int64_t source_index(BoundaryKind kind, std::int64_t i,
+                                 std::int64_t n) {
+  switch (kind) {
+    case BoundaryKind::clamp:
+      return clamp_index(i, 0, n - 1);
+    case BoundaryKind::reflective:
+      return mirror_index(i, n);
+    case BoundaryKind::dirichlet:
+      return i >= 0 && i < n ? i : kGhost;
+    case BoundaryKind::periodic:
+      break;
+  }
+  return i;
+}
+
 /// Per-thread scratch. A block pass needs one slab of (steps + 1)
 /// rolling windows of 2R + 1 planes each, plus the tap list staged as
 /// flat arrays. Allocating per block would dominate small blocks and show
@@ -95,43 +145,49 @@ inline void store4(float* p, Vec4 v) { std::memcpy(p, &v, sizeof v); }
 /// has seen.
 struct Workspace {
   std::vector<float> slab;
+  /// One padded row of the Dirichlet value, read by every tap whose
+  /// plane or row leaves the grid.
+  std::vector<float> ghost_row;
   // The tap list in accumulation order, one entry per tap.
   std::vector<std::int64_t> dx;
-  std::vector<int> sy, sz;  ///< dy + R, dz + R: index into the source tables
+  std::vector<int> sy, ss;  ///< dy + Ry, ds + R: index into the tables
   std::vector<float> cf;
   /// Per output row: each tap's source row at block-local x == 0,
   /// pre-shifted by the tap's dx.
   std::vector<const float*> src;
-  /// Per (stage, plane): the 2R + 1 clamped source planes / rows.
+  /// Per (stage, plane): the 2R + 1 source planes, null where off-grid
+  /// (Dirichlet).
   std::vector<const float*> planes;
-  /// Per output row (3D): the 2R + 1 y-clamped row deltas.
-  std::vector<std::int64_t> ydel;
+  /// Per output row: the 2Ry + 1 source rows (global y), or kGhost.
+  std::vector<std::int64_t> rows;
 
+  /// Stages `taps` with the blocked y axis and the streamed axis split
+  /// out: (dx, dy, dz) in 3D, (dx, -, dy) in 2D.
   void stage(const TapSet& taps) {
     const std::size_t n = taps.size();
     const std::int64_t r = taps.radius();
+    const bool is3d = taps.dims() == 3;
     dx.resize(n);
     sy.resize(n);
-    sz.resize(n);
+    ss.resize(n);
     cf.resize(n);
     src.resize(n);
     planes.resize(std::size_t(2 * r + 1));
-    ydel.resize(std::size_t(2 * r + 1));
+    rows.resize(std::size_t(is3d ? 2 * r + 1 : 1));
     for (std::size_t t = 0; t < n; ++t) {
       const Tap& tap = taps.taps()[t];
       dx[t] = tap.dx;
-      sy[t] = int(tap.dy + r);
-      sz[t] = int(tap.dz + r);
+      sy[t] = is3d ? int(tap.dy + r) : 0;
+      ss[t] = int((is3d ? tap.dz : tap.dy) + r);
       cf[t] = tap.coeff;
     }
   }
 
-  /// A zeroed slab of `cells` floats. Only cone cells are ever read
-  /// (header comment); zeroing the rest keeps the slab's contents
-  /// independent of which block ran on this thread before.
-  float* zeroed_slab(std::size_t cells) {
+  /// A slab of at least `cells` floats. It needs no clearing: a pass
+  /// reads only cells it wrote earlier for the same plane (cone cells,
+  /// ghost columns), so earlier blocks' contents are never observed.
+  float* slab_of(std::size_t cells) {
     if (slab.size() < cells) slab.resize(cells);
-    std::fill(slab.begin(), slab.begin() + std::ptrdiff_t(cells), 0.0f);
     return slab.data();
   }
 };
@@ -141,22 +197,9 @@ Workspace& tls_workspace() {
   return ws;
 }
 
-/// One cell with per-tap x-clamping (grid-boundary columns); y/z
-/// clamping is already folded into the `src` pointers.
-inline float border_cell(const Workspace& ws, std::int64_t x,
-                         std::int64_t xg, std::int64_t nx) {
-  const auto tap = [&](std::size_t t) {
-    const std::int64_t d = clamp_index(xg + ws.dx[t], 0, nx - 1) - xg;
-    return ws.src[t][x + d - ws.dx[t]];
-  };
-  float acc = ws.cf[0] * tap(0);
-  for (std::size_t t = 1; t < ws.cf.size(); ++t) acc += ws.cf[t] * tap(t);
-  return acc;
-}
-
-/// Columns [x, x + 4*V) of an interior row segment (no tap clamps).
+/// Columns [x, x + 4*V) of one output row.
 template <int V>
-inline void interior_chunk(const Workspace& ws, float* dst, std::int64_t x) {
+inline void chunk(const Workspace& ws, float* dst, std::int64_t x) {
   Vec4 acc[V];
   const Vec4 c0 = {ws.cf[0], ws.cf[0], ws.cf[0], ws.cf[0]};
   const float* p0 = ws.src[0] + x;
@@ -169,234 +212,274 @@ inline void interior_chunk(const Workspace& ws, float* dst, std::int64_t x) {
   for (int v = 0; v < V; ++v) store4(dst + x + kVecLanes * v, acc[v]);
 }
 
-/// Block-local [lo, hi) along one blocked axis.
+/// Column x of one output row, in the chunks' per-lane op order.
+inline float cell(const Workspace& ws, std::int64_t x) {
+  float acc = ws.cf[0] * ws.src[0][x];
+  for (std::size_t t = 1; t < ws.cf.size(); ++t) acc += ws.cf[t] * ws.src[t][x];
+  return acc;
+}
+
+/// Block-local [lo, hi) along one axis.
 struct Span {
   std::int64_t lo = 0, hi = 0;
   [[nodiscard]] bool empty() const { return lo >= hi; }
+  [[nodiscard]] bool contains(std::int64_t i) const {
+    return i >= lo && i < hi;
+  }
 };
 
-/// Stage k's influence cone along one blocked axis: the retire window
-/// `win` widened by (steps - k)*r per side (see the header comment).
+/// Stage k's influence cone along one axis: the retire window `win`
+/// widened by (steps - k)*r per side (see the header comment).
 [[nodiscard]] inline Span stage_cone(Span win, std::int64_t r, int steps,
                                      int k) {
   const std::int64_t e = std::int64_t(steps - k) * r;
   return {win.lo - e, win.hi + e};
 }
 
-/// The part of non-empty `s` whose global index (origin + local) lies in
-/// [0, n).
+/// The part of `s` whose global index (origin + local) lies in [0, n).
 [[nodiscard]] inline Span in_grid(Span s, std::int64_t origin,
                                   std::int64_t n) {
   const std::int64_t lo = std::clamp(-origin, s.lo, s.hi);
   return {lo, std::clamp(n - origin, lo, s.hi)};
 }
 
-/// Columns `cols` (block-local, non-empty) of one output row of one
-/// stage from the staged `ws.src` rows: zeros where the center is
-/// off-grid, x-clamped scalar cells at the grid's x boundaries,
-/// vectorized chunks in the interior. `dst` points at block-local x == 0
-/// of a row padded by >= r cells per side. Returns the in-grid cells
-/// computed.
-inline std::int64_t compute_row(const Workspace& ws, float* dst, Span cols,
-                                std::int64_t x0, std::int64_t nx,
-                                std::int64_t r) {
-  const Span grid = in_grid(cols, x0, nx);
-  std::fill(dst + cols.lo, dst + grid.lo, 0.0f);
-  std::fill(dst + grid.hi, dst + cols.hi, 0.0f);
-  // Columns where some tap could cross the grid's x boundary.
-  const std::int64_t il = std::clamp<std::int64_t>(r - x0, grid.lo, grid.hi);
-  const std::int64_t ih = std::clamp<std::int64_t>(nx - r - x0, il, grid.hi);
-  std::int64_t x = grid.lo;
-  for (; x < il; ++x) dst[x] = border_cell(ws, x, x0 + x, nx);
-  for (; x + kChunk <= ih; x += kChunk) {
-    interior_chunk<kChunkVecs>(ws, dst, x);
+/// Columns `cols` (block-local) of one output row of one stage from the
+/// staged `ws.src` rows. `dst` points at block-local x == 0 of a padded
+/// row.
+inline void compute_row(const Workspace& ws, float* dst, Span cols) {
+  std::int64_t x = cols.lo;
+  for (; x + kChunk <= cols.hi; x += kChunk) chunk<kChunkVecs>(ws, dst, x);
+  for (; x + kVecLanes <= cols.hi; x += kVecLanes) chunk<1>(ws, dst, x);
+  if (x == cols.hi) return;
+  if (cols.hi - cols.lo >= kVecLanes) {
+    chunk<1>(ws, dst, cols.hi - kVecLanes);  // overlapping tail chunk
+    return;
   }
-  for (; x + kVecLanes <= ih; x += kVecLanes) interior_chunk<1>(ws, dst, x);
-  // Chunk remainder: interior columns never clamp, so the border form
-  // degenerates to the identical operation sequence.
-  for (; x < grid.hi; ++x) dst[x] = border_cell(ws, x, x0 + x, nx);
-  return grid.hi - grid.lo;
+  for (; x < cols.hi; ++x) dst[x] = cell(ws, x);
 }
 
-/// Loads columns `cols` of input row `src` (null when the row is
-/// off-grid) into `dst`, zero outside the grid.
-inline void load_row(float* dst, Span cols, const float* src,
-                     std::int64_t x0, std::int64_t nx) {
-  const Span grid = src ? in_grid(cols, x0, nx) : Span{cols.lo, cols.lo};
-  std::fill(dst + cols.lo, dst + grid.lo, 0.0f);
-  if (!grid.empty()) {
-    std::memcpy(dst + grid.lo, src + (x0 + grid.lo),
-                std::size_t(grid.hi - grid.lo) * sizeof(float));
+/// The kernel's view of a grid: x and y blocked (ny == 1 in 2D), s
+/// streamed (y in 2D, z in 3D), rows contiguous in x.
+struct FieldView {
+  const float* in;
+  float* out;
+  std::int64_t nx, ny, ns;
+  [[nodiscard]] std::int64_t row(std::int64_t y, std::int64_t s) const {
+    return (s * ny + y) * nx;
   }
-  std::fill(dst + grid.hi, dst + cols.hi, 0.0f);
-}
+};
 
-void block_pass(const BlockingPlan& plan, const BlockExtent& blk,
-                const TapSet& taps, const Grid2D<float>& in,
-                Grid2D<float>& out, int steps, RunStats& stats,
-                const CancellationToken* cancel) {
-  const AcceleratorConfig& cfg = plan.config;
-  const std::int64_t r = taps.radius();
-  const std::int64_t w = 2 * r + 1;
-  const std::int64_t nx = in.nx(), ny = in.ny();
-  const std::int64_t x0 = blk.x0;
-  const std::int64_t prow = cfg.bsize_x + 2 * r;  // padded row stride
+/// One block pass over a FieldView; the 2D and 3D entry points differ
+/// only in the view and in the blocked y axis (absent in 2D: one row per
+/// plane, no y reach).
+class BlockPass {
+ public:
+  BlockPass(const BlockingPlan& plan, const BlockExtent& blk,
+            const TapSet& taps, const FieldView& f, int steps)
+      : bc_(taps.boundary()),
+        periodic_(bc_.kind == BoundaryKind::periodic),
+        f_(f),
+        steps_(steps),
+        r_(taps.radius()),
+        ry_(plan.config.dims == 3 ? r_ : 0),
+        x0_(blk.x0),
+        y0_(plan.config.dims == 3 ? blk.y0 : 0),
+        prow_(plan.config.bsize_x + 2 * r_),
+        plane_cells_(prow_ * ((plan.config.dims == 3 ? plan.config.bsize_y
+                                                     : 1) +
+                              2 * ry_)),
+        pre_(periodic_ ? std::int64_t(steps) * r_ : 0),
+        ws_(tls_workspace()) {
+    const AcceleratorConfig& cfg = plan.config;
+    const std::int64_t halo = cfg.halo();
+    wx_ = {halo, std::min(halo + cfg.csize_x(), blk.valid_x_end - x0_)};
+    wy_ = cfg.dims == 3 ? Span{halo, std::min(halo + cfg.csize_y(),
+                                              blk.valid_y_end - y0_)}
+                        : Span{0, 1};
+    ws_.stage(taps);
+  }
 
-  const std::int64_t halo = cfg.halo();
-  const Span wx{halo, std::min(halo + cfg.csize_x(), blk.valid_x_end - x0)};
-  // Nothing retires, so every cone is don't-care (and may be empty).
-  if (wx.empty()) return;
+  /// Runs the pass; returns the cells computed.
+  std::int64_t run(RunStats& stats, const CancellationToken* cancel) {
+    // Nothing retires, so every cone is don't-care (and may be empty).
+    if (wx_.empty() || wy_.empty()) return 0;
+    const std::int64_t w = 2 * r_ + 1;
+    base_ = ws_.slab_of(std::size_t((steps_ + 1) * w * plane_cells_));
+    ws_.ghost_row.assign(std::size_t(prow_), bc_.value);
+    std::int64_t computed = 0;
+    const std::int64_t send = f_.ns + std::int64_t(steps_) * r_;
+    for (std::int64_t s = -pre_; s < send; ++s) {
+      if (cancel) cancel->throw_if_cancelled();
+      if (stream_cone(0).contains(s)) load_plane(s);
+      for (int k = 1; k <= steps_; ++k) {
+        const std::int64_t p = s - std::int64_t(k) * r_;
+        const Span planes = stream_cone(k);
+        if (p < planes.lo) break;  // deeper stages lag even further
+        if (p < planes.hi) computed += compute_plane(k, p);
+      }
+      const std::int64_t pout = s - std::int64_t(steps_) * r_;
+      if (pout >= 0 && pout < f_.ns) retire_plane(pout, stats);
+    }
+    return computed;
+  }
 
-  Workspace& ws = tls_workspace();
-  ws.stage(taps);
-  float* const base = ws.zeroed_slab(std::size_t((steps + 1) * w * prow));
-  const auto window = [&](int stage) {
-    return PlanarShiftRegister<float>(base + stage * w * prow, w, prow);
-  };
-  // Block-local x == 0 of the window row holding stream row `y`.
-  const auto content = [&](int stage, std::int64_t y) {
-    return window(stage).plane(y) + r;
-  };
+ private:
+  /// Stage k's slot for stream plane p (>= -pre_).
+  [[nodiscard]] float* slot(int k, std::int64_t p) const {
+    const std::int64_t w = 2 * r_ + 1;
+    return PlanarShiftRegister<float>(base_ + k * w * plane_cells_, w,
+                                      plane_cells_)
+        .plane(p + pre_);
+  }
+  /// Offset of block-local (0, y_rel) within a padded plane.
+  [[nodiscard]] std::int64_t at_row(std::int64_t y_rel) const {
+    return (y_rel + ry_) * prow_ + r_;
+  }
+  /// The planes stage k computes: the grid, or for periodic the
+  /// streamed-axis influence cone.
+  [[nodiscard]] Span stream_cone(int k) const {
+    return periodic_ ? stage_cone({0, f_.ns}, r_, steps_, k) : Span{0, f_.ns};
+  }
+  /// The columns of stage k's cone row that are computed: every cone
+  /// column for periodic, the in-grid ones otherwise.
+  [[nodiscard]] Span computed_cols(Span cone) const {
+    return periodic_ ? cone : in_grid(cone, x0_, f_.nx);
+  }
 
-  const Span load = stage_cone(wx, r, steps, 0);
-  std::int64_t computed = 0;
-  const std::int64_t ymax = ny + std::int64_t(steps) * r;
-  for (std::int64_t y = 0; y < ymax; ++y) {
-    if (cancel) cancel->throw_if_cancelled();
-    // --- read: load stage 0's cone of input row y (zero off-grid) ---
-    load_row(content(0, y), load, y < ny ? &in.at(0, y) : nullptr, x0, nx);
+  /// Writes the R ghost columns on each grid side of a row that lies
+  /// inside its cone; `cols` is the row's in-grid part.
+  void fill_ghosts(float* row, Span cols, Span cone) const {
+    if (periodic_ || cols.empty()) return;
+    const auto ghost = [&](std::int64_t x) {
+      const std::int64_t i = source_index(bc_.kind, x0_ + x, f_.nx);
+      row[x] = i == kGhost ? bc_.value : row[i - x0_];
+    };
+    if (cols.lo > cone.lo) {
+      for (std::int64_t x = cols.lo - r_; x < cols.lo; ++x) ghost(x);
+    }
+    if (cols.hi < cone.hi) {
+      for (std::int64_t x = cols.hi; x < cols.hi + r_; ++x) ghost(x);
+    }
+  }
 
-    // --- update: stage-k cone rows that just became computable ---
-    for (int k = 1; k <= steps; ++k) {
-      const std::int64_t row = y - std::int64_t(k) * r;
-      if (row < 0) break;  // deeper stages lag even further
-      const Span cx = stage_cone(wx, r, steps, k);
-      float* dst = content(k, row);
-      if (row >= ny) {  // off-grid center row: zeros, overwriting the slot
-        std::fill(dst + cx.lo, dst + cx.hi, 0.0f);
+  /// Stage 0: loads the cone of input plane s (wrapped for periodic).
+  void load_plane(std::int64_t s) {
+    const Span cx = stage_cone(wx_, r_, steps_, 0);
+    const Span cy = stage_cone(wy_, ry_, steps_, 0);
+    const Span grid = in_grid(cx, x0_, f_.nx);
+    float* const plane = slot(0, s);
+    for (std::int64_t y_rel = cy.lo; y_rel < cy.hi; ++y_rel) {
+      std::int64_t yg = y0_ + y_rel;
+      if (periodic_) {
+        yg = wrap_index(yg, f_.ny);
+      } else if (yg < 0 || yg >= f_.ny) {
         continue;
       }
-      for (std::int64_t j = 0; j < w; ++j) {
-        ws.planes[std::size_t(j)] =
-            content(k - 1, clamp_index(row + j - r, 0, ny - 1));
+      float* const dst = plane + at_row(y_rel);
+      const float* const src =
+          f_.in + f_.row(yg, periodic_ ? wrap_index(s, f_.ns) : s);
+      std::memcpy(dst + grid.lo, src + (x0_ + grid.lo),
+                  std::size_t(grid.hi - grid.lo) * sizeof(float));
+      if (periodic_) {
+        for (std::int64_t x = cx.lo; x < grid.lo; ++x) {
+          dst[x] = src[wrap_index(x0_ + x, f_.nx)];
+        }
+        for (std::int64_t x = grid.hi; x < cx.hi; ++x) {
+          dst[x] = src[wrap_index(x0_ + x, f_.nx)];
+        }
       }
-      for (std::size_t t = 0; t < ws.src.size(); ++t) {
-        ws.src[t] = ws.planes[std::size_t(ws.sy[t])] + ws.dx[t];
-      }
-      computed += compute_row(ws, dst, cx, x0, nx, r);
+      fill_ghosts(dst, grid, cx);
     }
-
-    // --- write: retire the finished row ---
-    const std::int64_t wout = y - std::int64_t(steps) * r;
-    if (wout < 0 || wout >= ny) continue;
-    std::memcpy(&out.at(x0 + wx.lo, wout), content(steps, wout) + wx.lo,
-                std::size_t(wx.hi - wx.lo) * sizeof(float));
-    stats.cells_written += wx.hi - wx.lo;
   }
-  stats.cells_computed += computed;
-}
 
-void block_pass(const BlockingPlan& plan, const BlockExtent& blk,
-                const TapSet& taps, const Grid3D<float>& in,
-                Grid3D<float>& out, int steps, RunStats& stats,
-                const CancellationToken* cancel) {
+  /// Stage k (1..steps): computes the cone of plane p from stage k-1's
+  /// window; returns the cells computed.
+  std::int64_t compute_plane(int k, std::int64_t p) {
+    const Span cx = stage_cone(wx_, r_, steps_, k);
+    const Span cy = stage_cone(wy_, ry_, steps_, k);
+    const Span cols = computed_cols(cx);
+    // The window provably still holds every source plane: an index
+    // function only pulls reads inward, toward the last 2R + 1 planes.
+    bool ghost_plane = false;
+    for (std::int64_t j = 0; j < 2 * r_ + 1; ++j) {
+      const std::int64_t i = source_index(bc_.kind, p + j - r_, f_.ns);
+      ghost_plane = ghost_plane || i == kGhost;
+      ws_.planes[std::size_t(j)] = i == kGhost ? nullptr : slot(k - 1, i);
+    }
+    const float* const ghost_row = ws_.ghost_row.data() + r_;
+    float* const plane = slot(k, p);
+    std::int64_t computed = 0;
+    bool staged = false;  // ws_.src holds the previous row's interior taps
+    for (std::int64_t y_rel = cy.lo; y_rel < cy.hi; ++y_rel) {
+      const std::int64_t yg = y0_ + y_rel;
+      if (!periodic_ && (yg < 0 || yg >= f_.ny)) continue;
+      // No neighbour of an interior row is remapped or a Dirichlet ghost,
+      // so its taps are the previous interior row's, one padded row on.
+      const bool interior =
+          !ghost_plane && (periodic_ || (yg >= ry_ && yg + ry_ < f_.ny));
+      if (interior && staged) {
+        for (const float*& src : ws_.src) src += prow_;
+      } else {
+        for (std::int64_t j = 0; j < 2 * ry_ + 1; ++j) {
+          ws_.rows[std::size_t(j)] =
+              source_index(bc_.kind, yg + j - ry_, f_.ny);
+        }
+        for (std::size_t t = 0; t < ws_.src.size(); ++t) {
+          const float* const pl = ws_.planes[std::size_t(ws_.ss[t])];
+          const std::int64_t row = ws_.rows[std::size_t(ws_.sy[t])];
+          ws_.src[t] = (pl && row != kGhost ? pl + at_row(row - y0_)
+                                            : ghost_row) +
+                       ws_.dx[t];
+        }
+      }
+      staged = interior;
+      float* const dst = plane + at_row(y_rel);
+      compute_row(ws_, dst, cols);
+      computed += cols.hi - cols.lo;
+      if (k < steps_) fill_ghosts(dst, cols, cx);
+    }
+    return computed;
+  }
+
+  /// Copies the retire window of final plane p into `out`.
+  void retire_plane(std::int64_t p, RunStats& stats) const {
+    const float* const done = slot(steps_, p);
+    for (std::int64_t y_rel = wy_.lo; y_rel < wy_.hi; ++y_rel) {
+      std::memcpy(f_.out + f_.row(y0_ + y_rel, p) + x0_ + wx_.lo,
+                  done + at_row(y_rel) + wx_.lo,
+                  std::size_t(wx_.hi - wx_.lo) * sizeof(float));
+      stats.cells_written += wx_.hi - wx_.lo;
+    }
+  }
+
+  const BoundaryCondition bc_;
+  const bool periodic_;
+  const FieldView f_;
+  const int steps_;
+  const std::int64_t r_, ry_;  ///< reach along x/streamed, along y
+  const std::int64_t x0_, y0_;
+  const std::int64_t prow_, plane_cells_;
+  const std::int64_t pre_;  ///< periodic stream pre-pad
+  Span wx_, wy_;            ///< retire window
+  Workspace& ws_;
+  float* base_ = nullptr;
+};
+
+/// One block pass plus the interpreter-identical stream accounting.
+void run_pass(const BlockingPlan& plan, const BlockExtent& blk,
+              const TapSet& taps, const FieldView& f, int steps,
+              RunStats& stats, const CancellationToken* cancel) {
+  stats.cells_computed +=
+      BlockPass(plan, blk, taps, f, steps).run(stats, cancel);
+  // Periodic passes also stream the interpreter's wrap pre-pad.
   const AcceleratorConfig& cfg = plan.config;
-  const std::int64_t r = taps.radius();
-  const std::int64_t w = 2 * r + 1;
-  const std::int64_t nx = in.nx(), ny = in.ny(), nz = in.nz();
-  const std::int64_t x0 = blk.x0, y0 = blk.y0;
-  const std::int64_t prow = cfg.bsize_x + 2 * r;
-  const std::int64_t plane_cells = prow * (cfg.bsize_y + 2 * r);
-
-  const std::int64_t halo = cfg.halo();
-  const Span wx{halo, std::min(halo + cfg.csize_x(), blk.valid_x_end - x0)};
-  const Span wy{halo, std::min(halo + cfg.csize_y(), blk.valid_y_end - y0)};
-  // Nothing retires, so every cone is don't-care (and may be empty).
-  if (wx.empty() || wy.empty()) return;
-
-  Workspace& ws = tls_workspace();
-  ws.stage(taps);
-  float* const base =
-      ws.zeroed_slab(std::size_t((steps + 1) * w * plane_cells));
-  const auto window = [&](int stage) {
-    return PlanarShiftRegister<float>(base + stage * w * plane_cells, w,
-                                      plane_cells);
-  };
-  // Offset of block-local (0, y_rel) within a padded window plane.
-  const auto at_row = [&](std::int64_t y_rel) { return (y_rel + r) * prow + r; };
-
-  const Span load_x = stage_cone(wx, r, steps, 0);
-  const Span load_y = stage_cone(wy, r, steps, 0);
-  std::int64_t computed = 0;
-  const std::int64_t zmax = nz + std::int64_t(steps) * r;
-  for (std::int64_t z = 0; z < zmax; ++z) {
-    if (cancel) cancel->throw_if_cancelled();
-    // --- read: load stage 0's cone of input plane z (zero off-grid) ---
-    float* const in_plane = window(0).plane(z);
-    for (std::int64_t y_rel = load_y.lo; y_rel < load_y.hi; ++y_rel) {
-      const std::int64_t yg = y0 + y_rel;
-      const bool on_grid = z < nz && yg >= 0 && yg < ny;
-      load_row(in_plane + at_row(y_rel), load_x,
-               on_grid ? &in.at(0, yg, z) : nullptr, x0, nx);
-    }
-
-    // --- update: stage-k cone planes that just became computable ---
-    for (int k = 1; k <= steps; ++k) {
-      const std::int64_t p = z - std::int64_t(k) * r;
-      if (p < 0) break;
-      const Span cx = stage_cone(wx, r, steps, k);
-      const Span cy = stage_cone(wy, r, steps, k);
-      float* const dst_plane = window(k).plane(p);
-      if (p >= nz) {  // off-grid center plane: zeros, overwriting the slot
-        for (std::int64_t y_rel = cy.lo; y_rel < cy.hi; ++y_rel) {
-          float* row = dst_plane + at_row(y_rel);
-          std::fill(row + cx.lo, row + cx.hi, 0.0f);
-        }
-        continue;
-      }
-      // z-clamped source planes of stage k-1; the window provably still
-      // holds every clamped index (clamping pulls toward the interior).
-      const PlanarShiftRegister<float> src_window = window(k - 1);
-      for (std::int64_t j = 0; j < w; ++j) {
-        ws.planes[std::size_t(j)] =
-            src_window.plane(clamp_index(p + j - r, 0, nz - 1));
-      }
-      for (std::int64_t y_rel = cy.lo; y_rel < cy.hi; ++y_rel) {
-        float* dst = dst_plane + at_row(y_rel);
-        const std::int64_t yg = y0 + y_rel;
-        if (yg < 0 || yg >= ny) {
-          std::fill(dst + cx.lo, dst + cx.hi, 0.0f);
-          continue;
-        }
-        for (std::int64_t j = 0; j < w; ++j) {
-          ws.ydel[std::size_t(j)] = clamp_index(yg + j - r, 0, ny - 1) - yg;
-        }
-        for (std::size_t t = 0; t < ws.src.size(); ++t) {
-          ws.src[t] = ws.planes[std::size_t(ws.sz[t])] +
-                      at_row(y_rel + ws.ydel[std::size_t(ws.sy[t])]) + ws.dx[t];
-        }
-        computed += compute_row(ws, dst, cx, x0, nx, r);
-      }
-    }
-
-    // --- write: retire the finished plane ---
-    const std::int64_t pout = z - std::int64_t(steps) * r;
-    if (pout < 0 || pout >= nz) continue;
-    const float* const done = window(steps).plane(pout);
-    for (std::int64_t y_rel = wy.lo; y_rel < wy.hi; ++y_rel) {
-      std::memcpy(&out.at(x0 + wx.lo, y0 + y_rel, pout),
-                  done + at_row(y_rel) + wx.lo,
-                  std::size_t(wx.hi - wx.lo) * sizeof(float));
-      stats.cells_written += wx.hi - wx.lo;
-    }
-  }
-  stats.cells_computed += computed;
-}
-
-/// Interpreter-identical stream accounting for one block pass.
-void account_pass(const BlockingPlan& plan, RunStats& stats) {
-  stats.cells_streamed += plan.cells_streamed_per_pass;
-  stats.vectors_processed += plan.cells_streamed_per_pass / plan.config.parvec;
+  const std::int64_t streamed =
+      plan.cells_streamed_per_pass +
+      (taps.boundary().kind == BoundaryKind::periodic
+           ? cfg.stream_drain() * cfg.row_cells()
+           : 0);
+  stats.cells_streamed += streamed;
+  stats.vectors_processed += streamed / cfg.parvec;
   ++stats.block_passes;
 }
 
@@ -406,16 +489,17 @@ void run_block_2d(const BlockingPlan& plan, const BlockExtent& blk,
                   const TapSet& taps, const Grid2D<float>& in,
                   Grid2D<float>& out, int steps, RunStats& stats,
                   const CancellationToken* cancel) {
-  block_pass(plan, blk, taps, in, out, steps, stats, cancel);
-  account_pass(plan, stats);
+  run_pass(plan, blk, taps, {in.data(), out.data(), in.nx(), 1, in.ny()},
+           steps, stats, cancel);
 }
 
 void run_block_3d(const BlockingPlan& plan, const BlockExtent& blk,
                   const TapSet& taps, const Grid3D<float>& in,
                   Grid3D<float>& out, int steps, RunStats& stats,
                   const CancellationToken* cancel) {
-  block_pass(plan, blk, taps, in, out, steps, stats, cancel);
-  account_pass(plan, stats);
+  run_pass(plan, blk, taps,
+           {in.data(), out.data(), in.nx(), in.ny(), in.nz()}, steps, stats,
+           cancel);
 }
 
 }  // namespace fpga_stencil

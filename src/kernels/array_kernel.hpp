@@ -1,5 +1,5 @@
-// The runtime-tap array kernel: one overlapped block pass over any clamp
-// tap set, vectorized.
+// The runtime-tap array kernel: one overlapped block pass over any tap
+// set under any boundary condition, vectorized.
 //
 // This is the host-side analogue of the paper's synthesized pipeline. The
 // scalar interpreter (`stream_block_generic`) walks a ring-buffer shift
@@ -12,19 +12,18 @@
 // order, so one compiled kernel serves every tap set, every radius and
 // every parvec.
 //
-// Bit-exactness contract (verified by tests/kernels_test.cpp): for every
-// cell the accumulation is `acc = c[0]*tap0; acc += c[t]*tapt` in tap
-// order, with every tap clamped toward the grid per axis and out-of-grid
-// centers producing zero -- exactly the interpreter's arithmetic, in the
-// same order. The only intentional divergence is in cells no valid output
-// can observe: the kernel computes only each stage's influence cone,
-// where the interpreter (like the FPGA pipeline) computes the whole
-// block, including block-edge lanes that read wrapped shift-register
-// rows (see docs/KERNELS.md for why this is sound for any tap set).
-//
-// The border select-chains hard-code clamp-toward-grid, so only clamp
-// tap sets may run here; stream_block routes every other boundary
-// condition to the interpreter.
+// Bit-exactness contract (verified by tests/kernels_test.cpp and
+// tests/boundary_test.cpp): for every cell the accumulation is
+// `acc = c[0]*tap0; acc += c[t]*tapt` in tap order, every tap reading the
+// value the tap set's boundary condition picks per axis -- exactly the
+// interpreter's arithmetic, in the same order. Boundaries are resolved
+// by ghost columns in x and index tables in y and z instead of per-tap
+// select-chains; periodic tap sets stream wrap-extended. The only
+// intentional divergence is in cells no valid output can observe: the
+// kernel computes only each stage's influence cone, where the
+// interpreter (like the FPGA pipeline) computes the whole block,
+// including block-edge lanes that read wrapped shift-register rows (see
+// docs/KERNELS.md for why this is sound for any tap set).
 #pragma once
 
 #include "stencil/accel_config.hpp"
@@ -44,8 +43,9 @@ struct RunStats;
 /// valid compute region into `out`. Stats accounting matches the
 /// interpreter field for field (cells_streamed, vectors_processed,
 /// block_passes, cells_written) except cells_computed, which counts the
-/// in-grid cells of the stage cones; a non-null `cancel` token is polled
-/// once per streamed row.
+/// cells of the stage cones the pass evaluates (the in-grid ones; every
+/// one, pre-pad included, for periodic); a non-null `cancel` token is
+/// polled once per streamed row.
 void run_block_2d(const BlockingPlan& plan, const BlockExtent& blk,
                   const TapSet& taps, const Grid2D<float>& in,
                   Grid2D<float>& out, int steps, RunStats& stats,

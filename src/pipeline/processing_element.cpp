@@ -3,46 +3,19 @@
 namespace fpga_stencil {
 namespace {
 
-/// Forward shift-register reach of a tap set under a configuration.
-/// For reflective boundaries a border remap can flip any tap to its
-/// mirror, so the reach is the abs-valued worst case (equal to the
-/// plain max for star/box sets, larger only for asymmetric shapes).
-std::int64_t forward_reach(const TapSet& taps, const AcceleratorConfig& cfg) {
-  const std::int64_t max_flat =
-      taps.max_flat_offset(cfg.bsize_x, cfg.row_cells());
-  if (taps.boundary().kind != BoundaryKind::reflective) return max_flat;
-  return std::max(max_flat,
-                  taps.max_abs_flat_offset(cfg.bsize_x, cfg.row_cells()));
-}
-
-/// Backward reach (non-positive), mirrored for reflective boundaries.
-std::int64_t backward_reach(const TapSet& taps, const AcceleratorConfig& cfg) {
-  const std::int64_t min_flat =
-      taps.min_flat_offset(cfg.bsize_x, cfg.row_cells());
-  if (taps.boundary().kind != BoundaryKind::reflective) return min_flat;
-  return std::min(min_flat,
-                  -taps.max_abs_flat_offset(cfg.bsize_x, cfg.row_cells()));
-}
-
 /// Shift-register size for a tap set under a configuration: the window
 /// from the oldest tap the center needs back to the newest loaded cell.
 std::int64_t sr_size_for(const TapSet& taps, const AcceleratorConfig& cfg) {
   const std::int64_t row_cells = cfg.row_cells();
   const std::int64_t lag_cells =
       std::int64_t(cfg.effective_stage_lag()) * row_cells;
-  const std::int64_t max_flat = forward_reach(taps, cfg);
+  const std::int64_t max_flat = taps.forward_reach(cfg.bsize_x, row_cells);
   FPGASTENCIL_EXPECT(
       max_flat <= lag_cells,
       "stage lag too small for the tap set's forward reach; set "
       "AcceleratorConfig::stage_lag = ceil(max_flat / row_cells)");
-  return lag_cells - backward_reach(taps, cfg) + cfg.parvec;
-}
-
-/// Single-bounce mirror about the boundary cell (reflective BC).
-std::int64_t mirror_index(std::int64_t i, std::int64_t n) {
-  if (i < 0) return -i;
-  if (i >= n) return 2 * n - 2 - i;
-  return i;
+  return lag_cells - taps.backward_reach(cfg.bsize_x, row_cells) +
+         cfg.parvec;
 }
 
 }  // namespace
@@ -54,7 +27,7 @@ ProcessingElement::ProcessingElement(const TapSet& taps,
       stage_(stage),
       row_cells_(cfg.row_cells()),
       lag_cells_(std::int64_t(cfg.effective_stage_lag()) * cfg.row_cells()),
-      center_base_(-backward_reach(taps, cfg)),
+      center_base_(-taps.backward_reach(cfg.bsize_x, cfg.row_cells())),
       sr_(sr_size_for(taps, cfg), cfg.parvec) {
   cfg_.validate();
   FPGASTENCIL_EXPECT(stage >= 0 && stage < cfg.partime,

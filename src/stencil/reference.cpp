@@ -51,23 +51,6 @@ void reference_run(const StarStencil& stencil, Grid3D<float>& grid,
 
 namespace {
 
-/// Modular wrap into [0, n). Offsets are bounded by the radius, so one
-/// extra modulus is enough even for i in [-rad, n-1+rad] with tiny n.
-std::int64_t wrap_index(std::int64_t i, std::int64_t n) {
-  const std::int64_t m = i % n;
-  return m < 0 ? m + n : m;
-}
-
-/// Mirror about the boundary cell: -k -> k, n-1+k -> n-1-k. Single
-/// reflection; callers validate extents > radius so one bounce lands
-/// inside the grid (the same precondition the pipeline's shift-register
-/// border remap needs).
-std::int64_t mirror_index(std::int64_t i, std::int64_t n) {
-  if (i < 0) return -i;
-  if (i >= n) return 2 * n - 2 - i;
-  return i;
-}
-
 bool in_range(std::int64_t i, std::int64_t n) { return i >= 0 && i < n; }
 
 }  // namespace

@@ -52,15 +52,45 @@ std::int64_t TapSet::max_flat_offset(std::int64_t bsize_x,
   return m;
 }
 
-std::int64_t TapSet::max_abs_flat_offset(std::int64_t bsize_x,
-                                         std::int64_t row_cells) const {
+namespace {
+
+/// The extreme image of a per-axis offset `d` under boundary `kind`,
+/// toward + (forward) or - (backward).
+std::int64_t axis_image(BoundaryKind kind, std::int64_t d, bool forward) {
+  switch (kind) {
+    case BoundaryKind::clamp:
+      return forward ? std::max<std::int64_t>(d, 0)
+                     : std::min<std::int64_t>(d, 0);
+    case BoundaryKind::reflective:
+      return forward ? std::abs(d) : -std::abs(d);
+    default:
+      return d;
+  }
+}
+
+std::int64_t reach(const TapSet& taps, std::int64_t bsize_x,
+                   std::int64_t row_cells, bool forward) {
+  const BoundaryKind kind = taps.boundary().kind;
   std::int64_t m = 0;
-  for (const Tap& t : taps_) {
-    const std::int64_t reach = std::abs(t.dx) + std::abs(t.dy) * bsize_x +
-                               std::abs(t.dz) * row_cells;
-    m = std::max(m, reach);
+  for (const Tap& t : taps.taps()) {
+    const std::int64_t f = axis_image(kind, t.dx, forward) +
+                           axis_image(kind, t.dy, forward) * bsize_x +
+                           axis_image(kind, t.dz, forward) * row_cells;
+    m = forward ? std::max(m, f) : std::min(m, f);
   }
   return m;
+}
+
+}  // namespace
+
+std::int64_t TapSet::forward_reach(std::int64_t bsize_x,
+                                   std::int64_t row_cells) const {
+  return reach(*this, bsize_x, row_cells, true);
+}
+
+std::int64_t TapSet::backward_reach(std::int64_t bsize_x,
+                                    std::int64_t row_cells) const {
+  return reach(*this, bsize_x, row_cells, false);
 }
 
 double TapSet::coefficient_sum() const {

@@ -117,15 +117,18 @@ class TapSet {
   [[nodiscard]] std::int64_t max_flat_offset(std::int64_t bsize_x,
                                              std::int64_t row_cells) const;
 
-  /// Largest flat reach any tap can attain after a reflective border
-  /// remap: per axis a tap at distance d can mirror to +d, so the
-  /// worst-case reach of one tap is |dx| + |dy|*bsize_x + |dz|*row_cells
-  /// (symmetric backward). Equals max_flat_offset for tap sets that
-  /// contain their all-positive corner tap (star, box); can exceed it
-  /// for asymmetric custom shapes, which is why reflective SR sizing
-  /// uses this instead.
-  [[nodiscard]] std::int64_t max_abs_flat_offset(std::int64_t bsize_x,
-                                                 std::int64_t row_cells) const;
+  /// Largest / smallest flat offset a tap can be read at once its border
+  /// image under the tap set's boundary condition is taken -- the window
+  /// the interpreter's shift register must hold. Per axis, a clamped
+  /// offset d lands between 0 and d, so clamp reaches the sum of the
+  /// positive (forward) / negative (backward) parts; a mirrored offset
+  /// lands anywhere in [-|d|, |d|], so reflective reaches the abs sum.
+  /// Periodic (wrap-extended stream) and Dirichlet (off-grid taps read
+  /// the constant) reach only the plain offsets. Every bound includes 0.
+  [[nodiscard]] std::int64_t forward_reach(std::int64_t bsize_x,
+                                           std::int64_t row_cells) const;
+  [[nodiscard]] std::int64_t backward_reach(std::int64_t bsize_x,
+                                            std::int64_t row_cells) const;
 
   /// Sum of all coefficients (stability diagnostics).
   [[nodiscard]] double coefficient_sum() const;

@@ -107,6 +107,36 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool(), ::testing::Range(0, 4)),
     sweep_name);
 
+// The interpreter's shift register must hold every border image of a
+// tap, not just its plain offset: the clamped images of (0,2,-1) and
+// (-1,0,2) reach further forward than any tap of this set, and a window
+// sized from the plain offsets read out of range.
+TEST(BoundaryInterpreter, WindowHoldsEveryBorderImage) {
+  const TapSet sparse(3, 2,
+                      {Tap{2, -1, 0, 0.3f}, Tap{0, 0, 0, 0.5f},
+                       Tap{-1, 0, 2, 0.1f}, Tap{0, 2, -1, 0.2f},
+                       Tap{1, 1, 1, -0.05f}});
+  AcceleratorConfig cfg;
+  cfg.dims = 3;
+  cfg.radius = 2;
+  cfg.parvec = 4;
+  cfg.partime = 2;
+  cfg.bsize_x = 32;
+  cfg.bsize_y = 13;
+  cfg.use_specialized_kernels = false;
+  for (int bc_index = 0; bc_index < 4; ++bc_index) {
+    const TapSet taps = sparse.with_boundary(boundary_case(bc_index));
+    Grid3D<float> got(45, 27, 9);
+    got.fill_random(41, -1.0f, 1.0f);
+    Grid3D<float> want = got;
+    StencilAccelerator(taps, cfg).run(got, 3);
+    reference_run(taps, want, 3);
+    const CompareResult cmp = compare_exact(got, want);
+    EXPECT_TRUE(cmp.identical())
+        << taps.boundary().describe() << ": " << cmp.summary();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Analytic semantics: single off-center taps make the boundary rule the
 // entire answer, pinned against hand-computed values (not the reference,

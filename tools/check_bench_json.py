@@ -429,6 +429,8 @@ PROGRAM_SCHEMA = {
         "chunks_exact": bool,
         "second_run_cache_hit": bool,
         "route_stable": bool,
+        "kernel_blocks": int,
+        "fallback_blocks": int,
         "wall_seconds": NUMBER,
         "mcups": NUMBER,
     }),
@@ -813,7 +815,8 @@ def program_semantic_checks(doc, errors):
     must match the multi-field golden model (result and reassembled
     chunk stream alike), repeated submissions must route to one shard
     and hit the per-node plan cache, node accounting must close
-    (nodes_scheduled == nodes * steps), and the pool must end clean."""
+    (nodes_scheduled == nodes * steps), no node may fall back to the
+    interpreter, and the pool must end clean."""
     for i, c in enumerate(doc.get("campaigns", [])):
         if not isinstance(c, dict):
             continue
@@ -832,6 +835,9 @@ def program_semantic_checks(doc, errors):
         if c.get("route_stable") is not True:
             errors.append(f"{path}.route_stable: program fingerprint "
                           "affinity broke")
+        if c.get("fallback_blocks") != 0:
+            errors.append(f"{path}.fallback_blocks: a node fell back to "
+                          "the interpreter")
         nodes, steps = c.get("nodes"), c.get("steps")
         scheduled = c.get("nodes_scheduled")
         if (isinstance(nodes, int) and isinstance(steps, int)

@@ -905,12 +905,15 @@ int cmd_blockpar(const Args& a) {
   double compute_redundancy = 0.0;
   bool all_exact = true;
 
+  // One pre-touched scratch grid serves every timed run, so no row pays
+  // for allocating and first-touching a full-size grid.
+  std::vector<float> scratch(static_cast<std::size_t>(cells));
   const auto campaign = [&](auto initial) {
     auto oracle = initial;
     {
       StencilAccelerator accel(taps, cfg);
       const Stopwatch sw;
-      accel.run(oracle, iters);
+      accel.run(oracle, iters, &scratch);
       baseline_wall = sw.seconds();
     }
     baseline_cells_per_s = double(cells) * iters / baseline_wall;
@@ -918,6 +921,7 @@ int cmd_blockpar(const Args& a) {
       auto g = initial;
       RunOptions opts;
       opts.workers = w;
+      opts.scratch = &scratch;
       const Stopwatch sw;
       const RunStats stats = run_block_parallel(taps, cfg, g, iters, opts);
       Row row;
@@ -2416,7 +2420,8 @@ int cmd_tune(const Args& a) {
 // campaign: every field bit-exact vs the multi-field golden model
 // (reference_run_program), chunked per-field delivery reassembles exactly,
 // a repeated submission routes to the same shard (program-fingerprint
-// affinity) and hits the per-node plan cache, and no pool lease leaks.
+// affinity) and hits the per-node plan cache, every node's blocks run on
+// the array kernel (zero fallbacks), and no pool lease leaks.
 
 /// The flagship 2D FDTD-style E/H update: ez carries dirichlet(0) walls
 /// (fields vanish at the boundary), the H fields clamp. The two curl
@@ -2514,13 +2519,19 @@ struct ProgramCampaignRow {
   bool chunks_exact = false;  ///< reassembled chunk stream matches too
   bool second_run_cache_hit = false;
   bool route_stable = false;  ///< both submissions routed to one shard
+  std::int64_t kernel_blocks = 0;    ///< block passes on the array kernel
+  std::int64_t fallback_blocks = 0;  ///< block passes on the interpreter
   double wall_seconds = 0.0;
   double mcups = 0.0;  ///< million cell-updates (cells*nodes*steps) per sec
 };
 
-ProgramCampaignRow run_program_campaign(
-    EngineCluster& cluster, const std::string& name,
-    std::shared_ptr<const ProgramSpec> program) {
+/// Runs one campaign; every node's block dispatch reports to `tel`, which
+/// must outlive the cluster.
+ProgramCampaignRow run_program_campaign(EngineCluster& cluster,
+                                        const std::string& name,
+                                        ProgramSpec spec_in, Telemetry& tel) {
+  for (KernelNode& node : spec_in.nodes) node.config.telemetry = &tel;
+  const auto program = std::make_shared<const ProgramSpec>(std::move(spec_in));
   ProgramCampaignRow row;
   row.name = name;
   row.dims = program->dims();
@@ -2600,6 +2611,10 @@ ProgramCampaignRow run_program_campaign(
                                grid_variant_cells(r2.fields[i].second),
                            grid_variant_data(want[i].second));
   }
+  row.kernel_blocks =
+      tel.metrics().counter("kernels.dispatch_specialized").value();
+  row.fallback_blocks =
+      tel.metrics().counter("kernels.dispatch_fallback").value();
   return row;
 }
 
@@ -2611,18 +2626,18 @@ int cmd_program(const Args& a) {
   ClusterOptions copts;
   copts.shards = static_cast<int>(a.get("shards", 2));
   copts.engine.workers = static_cast<int>(a.get("workers", 4));
+  Telemetry fdtd_tel, wave_tel;  // per-campaign dispatch counters
   EngineCluster cluster(copts);
 
   std::vector<ProgramCampaignRow> rows;
   rows.push_back(run_program_campaign(
-      cluster, "fdtd2d",
-      std::make_shared<const ProgramSpec>(
-          make_fdtd2d_program(n2d, (n2d * 3) / 4, steps))));
+      cluster, "fdtd2d", make_fdtd2d_program(n2d, (n2d * 3) / 4, steps),
+      fdtd_tel));
   rows.push_back(run_program_campaign(
       cluster, "wave3d",
-      std::make_shared<const ProgramSpec>(
-          make_wave3d_program(n3d, n3d, std::max<std::int64_t>(n3d / 2, 8),
-                              steps3d))));
+      make_wave3d_program(n3d, n3d, std::max<std::int64_t>(n3d / 2, 8),
+                          steps3d),
+      wave_tel));
 
   cluster.wait_idle();
   std::int64_t leaked = 0;
@@ -2631,11 +2646,14 @@ int cmd_program(const Args& a) {
   }
 
   TextTable t({"campaign", "grid", "fields", "nodes", "steps", "chunks",
-               "exact", "affinity", "Mcup/s"});
+               "exact", "affinity", "kernel blk", "fallback blk", "Mcup/s"});
   bool ok = leaked == 0;
   for (const ProgramCampaignRow& r : rows) {
+    // Every node must run on the array kernel: a fallback is a dispatch
+    // regression, whatever the result.
     const bool row_ok = r.exact && r.chunks_exact && r.second_run_cache_hit &&
-                        r.route_stable &&
+                        r.route_stable && r.kernel_blocks > 0 &&
+                        r.fallback_blocks == 0 &&
                         r.nodes_scheduled ==
                             std::int64_t(r.nodes) * std::int64_t(r.steps);
     ok = ok && row_ok;
@@ -2646,7 +2664,8 @@ int cmd_program(const Args& a) {
                std::to_string(r.chunks_delivered),
                r.exact && r.chunks_exact ? "yes" : "NO",
                r.second_run_cache_hit && r.route_stable ? "yes" : "NO",
-               format_fixed(r.mcups, 1)});
+               std::to_string(r.kernel_blocks),
+               std::to_string(r.fallback_blocks), format_fixed(r.mcups, 1)});
   }
   t.render(std::cout);
   std::cout << (leaked == 0 ? "zero leaked pool leases\n"
@@ -2684,6 +2703,8 @@ int cmd_program(const Args& a) {
       w.key("chunks_exact").value(r.chunks_exact);
       w.key("second_run_cache_hit").value(r.second_run_cache_hit);
       w.key("route_stable").value(r.route_stable);
+      w.key("kernel_blocks").value(r.kernel_blocks);
+      w.key("fallback_blocks").value(r.fallback_blocks);
       w.key("wall_seconds").value(r.wall_seconds);
       w.key("mcups").value(r.mcups);
       w.end_object();
