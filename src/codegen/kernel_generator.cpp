@@ -375,18 +375,10 @@ std::string format_coeff(float c) {
 
 std::string generate_tap_kernel_source(const TapSet& taps,
                                        const CodegenOptions& options) {
-  AcceleratorConfig cfg = options.config;
-  cfg.validate();
-  FPGASTENCIL_EXPECT(taps.dims() == cfg.dims && taps.radius() <= cfg.radius,
-                     "tap set and configuration disagree");
+  // The interpreter's window, so the kernel holds every border image.
+  const AcceleratorConfig cfg = resolve_stage_lag(taps, options.config);
+  const ShiftWindow window = shift_window(taps, cfg);
   const bool cm = options.emit_comments;
-  const std::int64_t row_cells = cfg.row_cells();
-  const std::int64_t max_flat = taps.max_flat_offset(cfg.bsize_x, row_cells);
-  const std::int64_t min_flat = taps.min_flat_offset(cfg.bsize_x, row_cells);
-  const std::int64_t stage_lag = std::max<std::int64_t>(
-      ceil_div(std::max<std::int64_t>(max_flat, 1), row_cells), 1);
-  const std::int64_t sr_size = stage_lag * row_cells - min_flat + cfg.parvec;
-  const std::int64_t center_base = -min_flat;
 
   SourceWriter w;
   if (cm) {
@@ -403,12 +395,12 @@ std::string generate_tap_kernel_source(const TapSet& taps,
   w.line("#define PAR_VEC " + std::to_string(cfg.parvec));
   w.line("#define PAR_TIME " + std::to_string(cfg.partime));
   w.line("#define HALO (PAR_TIME * RAD)");
-  w.line("#define STAGE_LAG " + std::to_string(stage_lag));
+  w.line("#define STAGE_LAG " + std::to_string(window.stage_lag));
   w.line("#define DRAIN (PAR_TIME * STAGE_LAG)");
   w.line(cfg.dims == 2 ? "#define ROW_CELLS (BSIZE_X)"
                        : "#define ROW_CELLS (BSIZE_X * BSIZE_Y)");
-  w.line("#define SR_SIZE " + std::to_string(sr_size));
-  w.line("#define CENTER_BASE " + std::to_string(center_base));
+  w.line("#define SR_SIZE " + std::to_string(window.size));
+  w.line("#define CENTER_BASE " + std::to_string(window.center_base));
   w.line();
   if (cm) w.line("// coefficients baked in, in accumulation order");
   {

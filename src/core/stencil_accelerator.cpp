@@ -10,24 +10,6 @@
 
 namespace fpga_stencil {
 
-AcceleratorConfig resolve_stage_lag(const TapSet& taps,
-                                    AcceleratorConfig cfg) {
-  cfg.validate();
-  FPGASTENCIL_EXPECT(taps.dims() == cfg.dims && taps.radius() <= cfg.radius,
-                     "tap set and configuration disagree on dims/radius");
-  if (cfg.stage_lag == 0) {
-    // The forward reach of every border image, not just the plain
-    // offsets: a clamped or mirrored tap can reach further than any
-    // unclamped one.
-    const std::int64_t max_flat =
-        taps.forward_reach(cfg.bsize_x, cfg.row_cells());
-    const std::int64_t rows = ceil_div(
-        std::max<std::int64_t>(max_flat, 1), cfg.row_cells());
-    cfg.stage_lag = static_cast<int>(std::max<std::int64_t>(rows, 1));
-  }
-  return cfg;
-}
-
 StencilAccelerator::StencilAccelerator(const TapSet& taps,
                                        const AcceleratorConfig& cfg)
     : taps_(taps), cfg_(resolve_stage_lag(taps, cfg)) {

@@ -29,18 +29,21 @@
 // picks (`apply_taps`: clamp_index, mirror_index, or the Dirichlet
 // constant off the grid), resolved without a per-cell branch:
 //
-//  - Streamed and y axes: the index function is uniform over a row, so
-//    it is hoisted into tables -- per (stage, plane) the 2R + 1 source
-//    planes (3D) / rows (2D), per row the 2R + 1 source rows -- and from
-//    those one source pointer per tap. A Dirichlet tap whose plane or
-//    row leaves the grid points at a workspace row holding the constant.
-//    Rows that remap nothing just advance the previous row's pointers.
-//  - x axis: after each stage row below the last is computed (and each
-//    stage-0 row loaded), the R ghost columns on each grid side inside
-//    the row's cone are written with the value the index function reads
-//    there: the edge cell (clamp), the mirrored cell (reflective) or the
-//    constant (Dirichlet). A ghost column holds exactly the value a
-//    select-chain would have fetched, so one vector loop runs over every
+//  - Streamed axis: the index function is uniform over a plane, so it
+//    is hoisted into a table -- per (stage, plane) the 2R + 1 source
+//    planes (3D) / rows (2D). A Dirichlet plane off the grid is a
+//    workspace plane holding the constant.
+//  - x and y axes (ghost cells): after each stage row below the last is
+//    computed (and each stage-0 row loaded), the R ghost columns on each
+//    grid side inside the row's cone are written with the value the
+//    index function reads there: the edge cell (clamp), the mirrored cell
+//    (reflective) or the constant (Dirichlet). Once a plane is complete,
+//    its R ghost rows on each grid side inside the cone are written the
+//    same way, ghost columns included, so a corner ghost holds the value
+//    of both axes' index functions. A ghost cell holds exactly the value
+//    a select-chain would have fetched, so every tap reads at its plain
+//    offset: one source pointer per tap is set at a plane's first row and
+//    advanced one padded row per row, and one vector loop runs over every
 //    in-grid cone column with no border split.
 //  - Periodic has no boundary at all, as in the interpreter's
 //    wrap-extended stream: stage-0 loads wrap in x and y, the streamed
@@ -71,12 +74,12 @@
 // that are themselves in the cone). Stage k (k = 1..steps) therefore
 // computes exactly that range, and the input load (stage 0) loads it
 // with e_0 = steps*R -- so stage k's cone reads only stage k-1's cone
-// and its ghost columns, and a short tail pass (steps < partime) also
+// and its ghost cells, and a short tail pass (steps < partime) also
 // skips the unused part of the halo.
 //
 // Since halo = partime*cfg.radius >= steps*R, the stage-0 cone lies in
 // the block and every later cone stays at least R inside it, so each
-// tap read and each ghost column lands in the row padding of R cells per
+// tap read and each ghost cell lands in the plane padding of R cells per
 // side. A cone that crosses a grid edge spans at least R + 1 in-grid
 // cells past it (its retire window is in the grid and non-empty), so the
 // cells a ghost copies are computed whenever the grid extent is > R,
@@ -145,39 +148,32 @@ inline std::int64_t source_index(BoundaryKind kind, std::int64_t i,
 /// has seen.
 struct Workspace {
   std::vector<float> slab;
-  /// One padded row of the Dirichlet value, read by every tap whose
-  /// plane or row leaves the grid.
-  std::vector<float> ghost_row;
+  /// One padded plane of the Dirichlet value, read by every tap whose
+  /// plane leaves the grid.
+  std::vector<float> ghost_plane;
   // The tap list in accumulation order, one entry per tap.
-  std::vector<std::int64_t> dx;
-  std::vector<int> sy, ss;  ///< dy + Ry, ds + R: index into the tables
+  std::vector<std::int64_t> off;  ///< dx + dy * padded row, in a plane
+  std::vector<int> ss;            ///< ds + R: index into `planes`
   std::vector<float> cf;
-  /// Per output row: each tap's source row at block-local x == 0,
-  /// pre-shifted by the tap's dx.
+  /// Per output row: each tap's source cell at block-local x == 0.
   std::vector<const float*> src;
-  /// Per (stage, plane): the 2R + 1 source planes, null where off-grid
-  /// (Dirichlet).
+  /// Per (stage, plane): the 2R + 1 source planes.
   std::vector<const float*> planes;
-  /// Per output row: the 2Ry + 1 source rows (global y), or kGhost.
-  std::vector<std::int64_t> rows;
 
-  /// Stages `taps` with the blocked y axis and the streamed axis split
-  /// out: (dx, dy, dz) in 3D, (dx, -, dy) in 2D.
-  void stage(const TapSet& taps) {
+  /// Stages `taps` with the streamed axis split out, for planes of
+  /// padded rows of `prow` cells: (dx, dy | dz) in 3D, (dx | dy) in 2D.
+  void stage(const TapSet& taps, std::int64_t prow) {
     const std::size_t n = taps.size();
     const std::int64_t r = taps.radius();
     const bool is3d = taps.dims() == 3;
-    dx.resize(n);
-    sy.resize(n);
+    off.resize(n);
     ss.resize(n);
     cf.resize(n);
     src.resize(n);
     planes.resize(std::size_t(2 * r + 1));
-    rows.resize(std::size_t(is3d ? 2 * r + 1 : 1));
     for (std::size_t t = 0; t < n; ++t) {
       const Tap& tap = taps.taps()[t];
-      dx[t] = tap.dx;
-      sy[t] = is3d ? int(tap.dy + r) : 0;
+      off[t] = tap.dx + (is3d ? tap.dy * prow : 0);
       ss[t] = int((is3d ? tap.dz : tap.dy) + r);
       cf[t] = tap.coeff;
     }
@@ -185,7 +181,7 @@ struct Workspace {
 
   /// A slab of at least `cells` floats. It needs no clearing: a pass
   /// reads only cells it wrote earlier for the same plane (cone cells,
-  /// ghost columns), so earlier blocks' contents are never observed.
+  /// ghost cells), so earlier blocks' contents are never observed.
   float* slab_of(std::size_t cells) {
     if (slab.size() < cells) slab.resize(cells);
     return slab.data();
@@ -296,7 +292,7 @@ class BlockPass {
     wy_ = cfg.dims == 3 ? Span{halo, std::min(halo + cfg.csize_y(),
                                               blk.valid_y_end - y0_)}
                         : Span{0, 1};
-    ws_.stage(taps);
+    ws_.stage(taps, prow_);
   }
 
   /// Runs the pass; returns the cells computed.
@@ -305,7 +301,9 @@ class BlockPass {
     if (wx_.empty() || wy_.empty()) return 0;
     const std::int64_t w = 2 * r_ + 1;
     base_ = ws_.slab_of(std::size_t((steps_ + 1) * w * plane_cells_));
-    ws_.ghost_row.assign(std::size_t(prow_), bc_.value);
+    if (bc_.kind == BoundaryKind::dirichlet) {
+      ws_.ghost_plane.assign(std::size_t(plane_cells_), bc_.value);
+    }
     std::int64_t computed = 0;
     const std::int64_t send = f_.ns + std::int64_t(steps_) * r_;
     for (std::int64_t s = -pre_; s < send; ++s) {
@@ -340,15 +338,17 @@ class BlockPass {
   [[nodiscard]] Span stream_cone(int k) const {
     return periodic_ ? stage_cone({0, f_.ns}, r_, steps_, k) : Span{0, f_.ns};
   }
-  /// The columns of stage k's cone row that are computed: every cone
-  /// column for periodic, the in-grid ones otherwise.
-  [[nodiscard]] Span computed_cols(Span cone) const {
-    return periodic_ ? cone : in_grid(cone, x0_, f_.nx);
+  /// The part of stage k's cone that is computed, along x (`origin`
+  /// x0_, extent nx) or y (y0_, ny): all of it for periodic, the in-grid
+  /// part otherwise.
+  [[nodiscard]] Span computed(Span cone, std::int64_t origin,
+                              std::int64_t n) const {
+    return periodic_ ? cone : in_grid(cone, origin, n);
   }
 
   /// Writes the R ghost columns on each grid side of a row that lies
   /// inside its cone; `cols` is the row's in-grid part.
-  void fill_ghosts(float* row, Span cols, Span cone) const {
+  void fill_ghost_cols(float* row, Span cols, Span cone) const {
     if (periodic_ || cols.empty()) return;
     const auto ghost = [&](std::int64_t x) {
       const std::int64_t i = source_index(bc_.kind, x0_ + x, f_.nx);
@@ -362,22 +362,42 @@ class BlockPass {
     }
   }
 
+  /// Writes the R ghost rows on each grid side of a complete plane that
+  /// lie inside its cone `cone`; `rows` and `cols` are its in-grid part.
+  /// Each ghost row spans the computed columns and their ghost columns.
+  void fill_ghost_rows(float* plane, Span rows, Span cone, Span cols) const {
+    if (periodic_ || ry_ == 0 || rows.empty() || cols.empty()) return;
+    const std::int64_t lo = cols.lo - r_;
+    const std::size_t width = std::size_t(cols.hi - cols.lo + 2 * r_);
+    const auto ghost = [&](std::int64_t y) {
+      const std::int64_t i = source_index(bc_.kind, y0_ + y, f_.ny);
+      float* const dst = plane + at_row(y) + lo;
+      if (i == kGhost) {
+        std::fill_n(dst, width, bc_.value);
+      } else {
+        std::memcpy(dst, plane + at_row(i - y0_) + lo, width * sizeof(float));
+      }
+    };
+    if (rows.lo > cone.lo) {
+      for (std::int64_t y = rows.lo - ry_; y < rows.lo; ++y) ghost(y);
+    }
+    if (rows.hi < cone.hi) {
+      for (std::int64_t y = rows.hi; y < rows.hi + ry_; ++y) ghost(y);
+    }
+  }
+
   /// Stage 0: loads the cone of input plane s (wrapped for periodic).
   void load_plane(std::int64_t s) {
     const Span cx = stage_cone(wx_, r_, steps_, 0);
     const Span cy = stage_cone(wy_, ry_, steps_, 0);
     const Span grid = in_grid(cx, x0_, f_.nx);
+    const Span rows = computed(cy, y0_, f_.ny);
     float* const plane = slot(0, s);
-    for (std::int64_t y_rel = cy.lo; y_rel < cy.hi; ++y_rel) {
-      std::int64_t yg = y0_ + y_rel;
-      if (periodic_) {
-        yg = wrap_index(yg, f_.ny);
-      } else if (yg < 0 || yg >= f_.ny) {
-        continue;
-      }
+    for (std::int64_t y_rel = rows.lo; y_rel < rows.hi; ++y_rel) {
+      // wrap_index leaves in-grid indices as they are.
       float* const dst = plane + at_row(y_rel);
-      const float* const src =
-          f_.in + f_.row(yg, periodic_ ? wrap_index(s, f_.ns) : s);
+      const float* const src = f_.in + f_.row(wrap_index(y0_ + y_rel, f_.ny),
+                                              wrap_index(s, f_.ns));
       std::memcpy(dst + grid.lo, src + (x0_ + grid.lo),
                   std::size_t(grid.hi - grid.lo) * sizeof(float));
       if (periodic_) {
@@ -388,8 +408,9 @@ class BlockPass {
           dst[x] = src[wrap_index(x0_ + x, f_.nx)];
         }
       }
-      fill_ghosts(dst, grid, cx);
+      fill_ghost_cols(dst, grid, cx);
     }
+    fill_ghost_rows(plane, rows, cy, grid);
   }
 
   /// Stage k (1..steps): computes the cone of plane p from stage k-1's
@@ -397,48 +418,28 @@ class BlockPass {
   std::int64_t compute_plane(int k, std::int64_t p) {
     const Span cx = stage_cone(wx_, r_, steps_, k);
     const Span cy = stage_cone(wy_, ry_, steps_, k);
-    const Span cols = computed_cols(cx);
+    const Span cols = computed(cx, x0_, f_.nx);
+    const Span rows = computed(cy, y0_, f_.ny);
     // The window provably still holds every source plane: an index
     // function only pulls reads inward, toward the last 2R + 1 planes.
-    bool ghost_plane = false;
     for (std::int64_t j = 0; j < 2 * r_ + 1; ++j) {
       const std::int64_t i = source_index(bc_.kind, p + j - r_, f_.ns);
-      ghost_plane = ghost_plane || i == kGhost;
-      ws_.planes[std::size_t(j)] = i == kGhost ? nullptr : slot(k - 1, i);
+      ws_.planes[std::size_t(j)] =
+          i == kGhost ? ws_.ghost_plane.data() : slot(k - 1, i);
     }
-    const float* const ghost_row = ws_.ghost_row.data() + r_;
+    for (std::size_t t = 0; t < ws_.src.size(); ++t) {
+      ws_.src[t] =
+          ws_.planes[std::size_t(ws_.ss[t])] + at_row(rows.lo) + ws_.off[t];
+    }
     float* const plane = slot(k, p);
-    std::int64_t computed = 0;
-    bool staged = false;  // ws_.src holds the previous row's interior taps
-    for (std::int64_t y_rel = cy.lo; y_rel < cy.hi; ++y_rel) {
-      const std::int64_t yg = y0_ + y_rel;
-      if (!periodic_ && (yg < 0 || yg >= f_.ny)) continue;
-      // No neighbour of an interior row is remapped or a Dirichlet ghost,
-      // so its taps are the previous interior row's, one padded row on.
-      const bool interior =
-          !ghost_plane && (periodic_ || (yg >= ry_ && yg + ry_ < f_.ny));
-      if (interior && staged) {
-        for (const float*& src : ws_.src) src += prow_;
-      } else {
-        for (std::int64_t j = 0; j < 2 * ry_ + 1; ++j) {
-          ws_.rows[std::size_t(j)] =
-              source_index(bc_.kind, yg + j - ry_, f_.ny);
-        }
-        for (std::size_t t = 0; t < ws_.src.size(); ++t) {
-          const float* const pl = ws_.planes[std::size_t(ws_.ss[t])];
-          const std::int64_t row = ws_.rows[std::size_t(ws_.sy[t])];
-          ws_.src[t] = (pl && row != kGhost ? pl + at_row(row - y0_)
-                                            : ghost_row) +
-                       ws_.dx[t];
-        }
-      }
-      staged = interior;
+    for (std::int64_t y_rel = rows.lo; y_rel < rows.hi; ++y_rel) {
       float* const dst = plane + at_row(y_rel);
       compute_row(ws_, dst, cols);
-      computed += cols.hi - cols.lo;
-      if (k < steps_) fill_ghosts(dst, cols, cx);
+      if (k < steps_) fill_ghost_cols(dst, cols, cx);
+      for (const float*& src : ws_.src) src += prow_;
     }
-    return computed;
+    if (k < steps_) fill_ghost_rows(plane, rows, cy, cols);
+    return (cols.hi - cols.lo) * (rows.hi - rows.lo);
   }
 
   /// Copies the retire window of final plane p into `out`.

@@ -17,8 +17,9 @@
 // `acc = c[0]*tap0; acc += c[t]*tapt` in tap order, every tap reading the
 // value the tap set's boundary condition picks per axis -- exactly the
 // interpreter's arithmetic, in the same order. Boundaries are resolved
-// by ghost columns in x and index tables in y and z instead of per-tap
-// select-chains; periodic tap sets stream wrap-extended. The only
+// by ghost columns in x, ghost rows in y and a source-plane table in z
+// instead of per-tap select-chains; periodic tap sets stream
+// wrap-extended. The only
 // intentional divergence is in cells no valid output can observe: the
 // kernel computes only each stage's influence cone, where the
 // interpreter (like the FPGA pipeline) computes the whole block,

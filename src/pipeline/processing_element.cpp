@@ -1,24 +1,6 @@
 #include "pipeline/processing_element.hpp"
 
 namespace fpga_stencil {
-namespace {
-
-/// Shift-register size for a tap set under a configuration: the window
-/// from the oldest tap the center needs back to the newest loaded cell.
-std::int64_t sr_size_for(const TapSet& taps, const AcceleratorConfig& cfg) {
-  const std::int64_t row_cells = cfg.row_cells();
-  const std::int64_t lag_cells =
-      std::int64_t(cfg.effective_stage_lag()) * row_cells;
-  const std::int64_t max_flat = taps.forward_reach(cfg.bsize_x, row_cells);
-  FPGASTENCIL_EXPECT(
-      max_flat <= lag_cells,
-      "stage lag too small for the tap set's forward reach; set "
-      "AcceleratorConfig::stage_lag = ceil(max_flat / row_cells)");
-  return lag_cells - taps.backward_reach(cfg.bsize_x, row_cells) +
-         cfg.parvec;
-}
-
-}  // namespace
 
 ProcessingElement::ProcessingElement(const TapSet& taps,
                                      const AcceleratorConfig& cfg, int stage)
@@ -27,8 +9,8 @@ ProcessingElement::ProcessingElement(const TapSet& taps,
       stage_(stage),
       row_cells_(cfg.row_cells()),
       lag_cells_(std::int64_t(cfg.effective_stage_lag()) * cfg.row_cells()),
-      center_base_(-taps.backward_reach(cfg.bsize_x, cfg.row_cells())),
-      sr_(sr_size_for(taps, cfg), cfg.parvec) {
+      center_base_(shift_window(taps, cfg).center_base),
+      sr_(shift_window(taps, cfg).size, cfg.parvec) {
   cfg_.validate();
   FPGASTENCIL_EXPECT(stage >= 0 && stage < cfg.partime,
                      "stage must be in [0, partime)");

@@ -2,7 +2,38 @@
 
 #include <algorithm>
 
+#include "stencil/tap_set.hpp"
+
 namespace fpga_stencil {
+
+AcceleratorConfig resolve_stage_lag(const TapSet& taps,
+                                    AcceleratorConfig cfg) {
+  cfg.validate();
+  FPGASTENCIL_EXPECT(taps.dims() == cfg.dims && taps.radius() <= cfg.radius,
+                     "tap set and configuration disagree on dims/radius");
+  if (cfg.stage_lag == 0) {
+    const std::int64_t max_flat =
+        taps.forward_reach(cfg.bsize_x, cfg.row_cells());
+    const std::int64_t rows = ceil_div(
+        std::max<std::int64_t>(max_flat, 1), cfg.row_cells());
+    cfg.stage_lag = static_cast<int>(std::max<std::int64_t>(rows, 1));
+  }
+  return cfg;
+}
+
+ShiftWindow shift_window(const TapSet& taps, const AcceleratorConfig& cfg) {
+  const std::int64_t row_cells = cfg.row_cells();
+  ShiftWindow w;
+  w.stage_lag = cfg.effective_stage_lag();
+  const std::int64_t lag_cells = std::int64_t(w.stage_lag) * row_cells;
+  FPGASTENCIL_EXPECT(
+      taps.forward_reach(cfg.bsize_x, row_cells) <= lag_cells,
+      "stage lag too small for the tap set's forward reach; set "
+      "AcceleratorConfig::stage_lag = ceil(max_flat / row_cells)");
+  w.center_base = -taps.backward_reach(cfg.bsize_x, row_cells);
+  w.size = lag_cells + w.center_base + cfg.parvec;
+  return w;
+}
 
 BlockingPlan make_blocking_plan(const AcceleratorConfig& cfg, std::int64_t nx,
                                 std::int64_t ny, std::int64_t nz) {

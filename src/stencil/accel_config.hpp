@@ -22,6 +22,7 @@
 namespace fpga_stencil {
 
 class Telemetry;  // telemetry/telemetry.hpp; pointer-only here
+class TapSet;     // stencil/tap_set.hpp
 
 struct AcceleratorConfig {
   int dims = 2;              ///< 2 or 3
@@ -39,11 +40,11 @@ struct AcceleratorConfig {
   int stage_lag = 0;
 
   /// Dispatch gate for the vectorized array kernel (src/kernels). When
-  /// true (the default), stream_block runs every clamp tap set on the
-  /// kernel; when false -- or for any other boundary condition -- the
-  /// scalar interpreter runs. Never changes results (the kernel is
-  /// bit-exact with the interpreter); exists so benchmarks and tests can
-  /// pin the interpreter as the baseline/oracle.
+  /// true (the default), stream_block runs every tap set, under every
+  /// boundary condition, on the kernel; when false the scalar
+  /// interpreter runs. Never changes results (the kernel is bit-exact
+  /// with the interpreter); exists so benchmarks and tests can pin the
+  /// interpreter as the baseline/oracle.
   bool use_specialized_kernels = true;
 
   /// Opt-in observability hook, honored by every execution layer
@@ -190,5 +191,28 @@ BlockExtent block_extent(const BlockingPlan& plan, std::int64_t index);
 /// partially wasted, exactly as on the real accelerator.
 BlockingPlan make_blocking_plan(const AcceleratorConfig& cfg, std::int64_t nx,
                                 std::int64_t ny, std::int64_t nz = 1);
+
+/// Validates `cfg` and resolves an automatic (0) stage_lag to the tap
+/// set's forward reach (TapSet::forward_reach: every border image, not
+/// just the plain offsets) in whole rows: radius for star stencils,
+/// radius+1 for shapes whose farthest tap crosses a row boundary (box
+/// corners). This is the exact derivation every executor, the engine's
+/// plan cache and the kernel generator share, so a cached plan equals
+/// what StencilAccelerator runs.
+AcceleratorConfig resolve_stage_lag(const TapSet& taps,
+                                    AcceleratorConfig cfg);
+
+/// The shift-register window a PE needs to run `taps` with the stage lag
+/// L = cfg.effective_stage_lag(): from the oldest cell any tap's border
+/// image reads back to the newest loaded vector. Shared by the PE
+/// interpreter and the generated OpenCL kernel (STAGE_LAG, CENTER_BASE,
+/// SR_SIZE). Throws ConfigError when L rows do not cover the forward
+/// reach.
+struct ShiftWindow {
+  int stage_lag = 0;             ///< L
+  std::int64_t center_base = 0;  ///< window index of lane 0's centre
+  std::int64_t size = 0;         ///< L rows + center_base + parvec cells
+};
+ShiftWindow shift_window(const TapSet& taps, const AcceleratorConfig& cfg);
 
 }  // namespace fpga_stencil

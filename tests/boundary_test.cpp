@@ -2,9 +2,10 @@
 // BoundaryCondition (clamp, periodic, reflective, dirichlet) x star/box
 // x 2D/3D x radius 1-4 must be bit-identical between the streaming
 // accelerator and the naive reference model -- on the synchronous
-// simulator AND the block-parallel backend, with partial edge blocks and
-// a partial temporal tail, so corners, edges, and halo exchanges all see
-// every boundary rule. A few analytic single-tap tests pin the absolute
+// simulator AND the block-parallel backend, each on the array kernel AND
+// on the PE interpreter (use_specialized_kernels off), with partial edge
+// blocks and a partial temporal tail, so corners, edges, and halo
+// exchanges all see every boundary rule. A few analytic single-tap tests pin the absolute
 // semantics (what "mirror", "wrap", and "the dirichlet value" mean), not
 // just agreement between two implementations.
 #include <gtest/gtest.h>
@@ -43,13 +44,15 @@ AcceleratorConfig sweep_config(int dims, int radius) {
   return cfg;
 }
 
-class BoundarySweep
-    : public ::testing::TestWithParam<std::tuple<int, int, bool, int>> {};
+using SweepParam = std::tuple<int, int, bool, int, bool>;
+
+class BoundarySweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(BoundarySweep, AcceleratorMatchesReferenceBitExact) {
-  const auto [dims, radius, box, bc_index] = GetParam();
+  const auto [dims, radius, box, bc_index, kernel] = GetParam();
   const BoundaryCondition bc = boundary_case(bc_index);
-  const AcceleratorConfig cfg = sweep_config(dims, radius);
+  AcceleratorConfig cfg = sweep_config(dims, radius);
+  cfg.use_specialized_kernels = kernel;
   const TapSet taps =
       (box ? make_box_stencil(dims, radius, 31)
            : StarStencil::make_benchmark(dims, radius, 7).to_taps())
@@ -93,18 +96,19 @@ TEST_P(BoundarySweep, AcceleratorMatchesReferenceBitExact) {
   }
 }
 
-std::string sweep_name(
-    const ::testing::TestParamInfo<std::tuple<int, int, bool, int>>& info) {
-  const auto [dims, radius, box, bc_index] = info.param;
+std::string sweep_name(const ::testing::TestParamInfo<SweepParam>& info) {
+  const auto [dims, radius, box, bc_index, kernel] = info.param;
   return std::string(dims == 2 ? "d2" : "d3") + "r" + std::to_string(radius) +
          (box ? "box" : "star") +
-         boundary_kind_name(boundary_case(bc_index).kind);
+         boundary_kind_name(boundary_case(bc_index).kind) +
+         (kernel ? "Kernel" : "Interpreter");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllBoundaries, BoundarySweep,
     ::testing::Combine(::testing::Values(2, 3), ::testing::Range(1, 5),
-                       ::testing::Bool(), ::testing::Range(0, 4)),
+                       ::testing::Bool(), ::testing::Range(0, 4),
+                       ::testing::Bool()),
     sweep_name);
 
 // The interpreter's shift register must hold every border image of a
@@ -140,7 +144,8 @@ TEST(BoundaryInterpreter, WindowHoldsEveryBorderImage) {
 // ---------------------------------------------------------------------------
 // Analytic semantics: single off-center taps make the boundary rule the
 // entire answer, pinned against hand-computed values (not the reference,
-// which shares helpers with the implementation).
+// which shares helpers with the implementation), on the array kernel and
+// on the PE interpreter.
 
 TapSet shift_tap(int dims, int dx, int dy, int dz, BoundaryCondition bc) {
   return TapSet(dims, std::max({std::abs(dx), std::abs(dy), std::abs(dz), 1}),
@@ -148,8 +153,9 @@ TapSet shift_tap(int dims, int dx, int dy, int dz, BoundaryCondition bc) {
       .with_boundary(bc);
 }
 
-AcceleratorConfig whole_grid_config(int dims, int radius) {
+AcceleratorConfig whole_grid_config(int dims, int radius, bool kernel) {
   AcceleratorConfig cfg;
+  cfg.use_specialized_kernels = kernel;
   cfg.dims = dims;
   cfg.radius = radius;
   cfg.parvec = 2;
@@ -164,12 +170,15 @@ TEST(BoundarySemantics, PeriodicShiftWrapsAround) {
   const TapSet taps = shift_tap(2, 1, 0, 0, BoundaryCondition::periodic());
   Grid2D<float> base(7, 5);
   base.fill_random(3);
-  Grid2D<float> got = base;
-  StencilAccelerator(taps, whole_grid_config(2, 1)).run(got, 1);
-  for (std::int64_t y = 0; y < base.ny(); ++y) {
-    for (std::int64_t x = 0; x < base.nx(); ++x) {
-      EXPECT_EQ(got.at(x, y), base.at((x + 1) % base.nx(), y))
-          << "x=" << x << " y=" << y;
+  for (bool kernel : {true, false}) {
+    SCOPED_TRACE(kernel ? "kernel" : "interpreter");
+    Grid2D<float> got = base;
+    StencilAccelerator(taps, whole_grid_config(2, 1, kernel)).run(got, 1);
+    for (std::int64_t y = 0; y < base.ny(); ++y) {
+      for (std::int64_t x = 0; x < base.nx(); ++x) {
+        EXPECT_EQ(got.at(x, y), base.at((x + 1) % base.nx(), y))
+            << "x=" << x << " y=" << y;
+      }
     }
   }
 }
@@ -181,12 +190,15 @@ TEST(BoundarySemantics, ReflectiveShiftMirrorsAtEdge) {
   const TapSet taps = shift_tap(2, -1, 0, 0, BoundaryCondition::reflective());
   Grid2D<float> base(7, 5);
   base.fill_random(4);
-  Grid2D<float> got = base;
-  StencilAccelerator(taps, whole_grid_config(2, 1)).run(got, 1);
-  for (std::int64_t y = 0; y < base.ny(); ++y) {
-    EXPECT_EQ(got.at(0, y), base.at(1, y)) << "y=" << y;
-    for (std::int64_t x = 1; x < base.nx(); ++x) {
-      EXPECT_EQ(got.at(x, y), base.at(x - 1, y)) << "x=" << x << " y=" << y;
+  for (bool kernel : {true, false}) {
+    SCOPED_TRACE(kernel ? "kernel" : "interpreter");
+    Grid2D<float> got = base;
+    StencilAccelerator(taps, whole_grid_config(2, 1, kernel)).run(got, 1);
+    for (std::int64_t y = 0; y < base.ny(); ++y) {
+      EXPECT_EQ(got.at(0, y), base.at(1, y)) << "y=" << y;
+      for (std::int64_t x = 1; x < base.nx(); ++x) {
+        EXPECT_EQ(got.at(x, y), base.at(x - 1, y)) << "x=" << x << " y=" << y;
+      }
     }
   }
 }
@@ -202,15 +214,18 @@ TEST(BoundarySemantics, DirichletValueEntersAtTheBorderOnly) {
              {Tap{0, 0, 0, 0.5f}, Tap{-1, 0, 0, c}, Tap{1, 0, 0, c},
               Tap{0, -1, 0, c}, Tap{0, 1, 0, c}},
              BoundaryCondition::dirichlet(kBoundary));
-  Grid2D<float> got(8, 6, 0.0f);
-  StencilAccelerator(taps, whole_grid_config(2, 1)).run(got, 1);
-  for (std::int64_t y = 0; y < got.ny(); ++y) {
-    for (std::int64_t x = 0; x < got.nx(); ++x) {
-      int outside = 0;
-      if (x == 0 || x == got.nx() - 1) ++outside;
-      if (y == 0 || y == got.ny() - 1) ++outside;
-      EXPECT_EQ(got.at(x, y), float(outside) * c * kBoundary)
-          << "x=" << x << " y=" << y;
+  for (bool kernel : {true, false}) {
+    SCOPED_TRACE(kernel ? "kernel" : "interpreter");
+    Grid2D<float> got(8, 6, 0.0f);
+    StencilAccelerator(taps, whole_grid_config(2, 1, kernel)).run(got, 1);
+    for (std::int64_t y = 0; y < got.ny(); ++y) {
+      for (std::int64_t x = 0; x < got.nx(); ++x) {
+        int outside = 0;
+        if (x == 0 || x == got.nx() - 1) ++outside;
+        if (y == 0 || y == got.ny() - 1) ++outside;
+        EXPECT_EQ(got.at(x, y), float(outside) * c * kBoundary)
+            << "x=" << x << " y=" << y;
+      }
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "codegen/kernel_generator.hpp"
+#include "pipeline/processing_element.hpp"
 #include "stencil/box_stencil.hpp"
 #include "stencil/star_stencil.hpp"
 
@@ -168,6 +169,24 @@ TEST(TapCodegen, StarTapsGetStageLagEqualRadius) {
   EXPECT_NE(src.find("#define STAGE_LAG 3"), std::string::npos);
   // Star window: SR_SIZE = 2*rad*bsize + parvec = 388.
   EXPECT_NE(src.find("#define SR_SIZE 388"), std::string::npos);
+}
+
+TEST(TapCodegen, WindowHoldsEveryBorderImage) {
+  // The clamped images of (0,2,-1) reach a plane back where no plain
+  // offset does (backward reach -416 against min flat offset -352), so
+  // the kernel's window is the interpreter's, not the plain-offset one.
+  const TapSet sparse(3, 2,
+                      {Tap{2, -1, 0, 0.3f}, Tap{0, 0, 0, 0.5f},
+                       Tap{-1, 0, 2, 0.1f}, Tap{0, 2, -1, 0.2f},
+                       Tap{1, 1, 1, -0.05f}});
+  const AcceleratorConfig c = cfg(3, 2, 32, 13, 4, 2);
+  const std::string src = generate_tap_kernel_source(sparse, {c, false});
+  EXPECT_NE(src.find("#define STAGE_LAG 2\n"), std::string::npos);
+  EXPECT_NE(src.find("#define CENTER_BASE 416\n"), std::string::npos);
+  // 2 planes of 416 cells + 416 back + parvec 4.
+  EXPECT_NE(src.find("#define SR_SIZE 1252\n"), std::string::npos);
+  const ProcessingElement pe(sparse, resolve_stage_lag(sparse, c), 0);
+  EXPECT_EQ(pe.shift_register_size(), 1252);
 }
 
 TEST(TapCodegen, Deterministic) {

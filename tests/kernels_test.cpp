@@ -409,14 +409,20 @@ TEST(KernelDispatch, EveryBoundaryDispatchesBitExact) {
         }
       }
     }
-    // The opt-out is the one fallback reason left.
+    // The opt-out is the one fallback reason left, and the interpreter it
+    // falls back to is bit-exact too.
     AcceleratorConfig cfg = envelope_config(2, kR, 8);
     cfg.use_specialized_kernels = false;
     Telemetry tel;
     cfg.telemetry = &tel;
+    const TapSet taps = star_taps(2, kR).with_boundary(bc);
     Grid2D<float> g(45, 23);
     g.fill_random(31);
-    (void)StencilAccelerator(star_taps(2, kR).with_boundary(bc), cfg).run(g, 3);
+    Grid2D<float> want = g;
+    (void)StencilAccelerator(taps, cfg).run(g, 3);
+    reference_run(taps, want, 3);
+    const CompareResult cmp = compare_exact(g, want);
+    EXPECT_TRUE(cmp.identical()) << bc.describe() << ": " << cmp.summary();
     const std::int64_t fallback =
         tel.metrics().counter("kernels.dispatch_fallback").value();
     EXPECT_GT(fallback, 0) << bc.describe();
