@@ -375,6 +375,11 @@ std::string format_coeff(float c) {
 
 std::string generate_tap_kernel_source(const TapSet& taps,
                                        const CodegenOptions& options) {
+  // axis_select emits clamping selects only; another boundary condition
+  // would silently compile to a clamp kernel.
+  FPGASTENCIL_EXPECT(taps.boundary().is_clamp(),
+                     "the OpenCL generator emits clamp boundaries only; "
+                     "tap set boundary is " + taps.boundary().describe());
   // The interpreter's window, so the kernel holds every border image.
   const AcceleratorConfig cfg = resolve_stage_lag(taps, options.config);
   const ShiftWindow window = shift_window(taps, cfg);

@@ -35,7 +35,8 @@ std::string generate_kernel_source(const CodegenOptions& options);
 /// Full kernel file for an arbitrary tap set (box stencils, custom
 /// shapes): coefficients are baked in as literals, each tap gets its own
 /// generated per-axis clamping select chain, and the stage lag follows the
-/// tap set's forward reach.
+/// tap set's forward reach. Clamp tap sets only: any other boundary
+/// condition throws ConfigError.
 std::string generate_tap_kernel_source(const TapSet& taps,
                                        const CodegenOptions& options);
 

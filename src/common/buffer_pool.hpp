@@ -2,8 +2,9 @@
 //
 // Every job needs a scratch grid the size of its input for the executor's
 // ping-pong buffering (StencilAccelerator::run and run_concurrent both
-// allocate one per call when not handed storage), and every block-parallel
-// worker needs a pair of lane buffers (RunOptions::pool). Under a stream
+// allocate one per call when not handed storage), and every block worker
+// that runs the interpreter needs a pair of lane buffers
+// (RunOptions::pool). Under a stream
 // of jobs that allocation dominates setup for small grids, so the engine
 // leases backing stores from this pool instead: a released vector keeps
 // its capacity, and the next job of the same (or smaller) footprint runs

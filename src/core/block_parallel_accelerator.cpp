@@ -83,10 +83,14 @@ RunStats run_block_parallel_impl(const TapSet& taps,
     }
   }();
 
+  // The calling thread is worker 0 as well as the coordinator: it
+  // publishes each pass, streams its share of the blocks between the two
+  // barriers, then ping-pongs the grids. It spawns workers - 1 threads,
+  // so a one-worker run (the sync simulator) starts none.
   const std::size_t pool_size = static_cast<std::size_t>(workers);
   PassState<GridT> pass;
-  std::barrier<> start(workers + 1);
-  std::barrier<> finish(workers + 1);
+  std::barrier<> start(workers);
+  std::barrier<> finish(workers);
   std::vector<RunStats> worker_stats(pool_size);
   std::vector<std::int64_t> worker_busy_ns(pool_size, 0);
   std::vector<std::exception_ptr> worker_errors(pool_size);
@@ -111,80 +115,98 @@ RunStats run_block_parallel_impl(const TapSet& taps,
     dog.emplace(opts.watchdog_deadline, unwind);
   }
 
-  const auto worker_fn = [&](int w) {
-    // Private pipeline replica: own PE chain (shift-register state is
-    // per-block, reset by begin_block) and own ping-pong lane buffers.
+  // A worker's private interpreter state: own PE chain (shift-register
+  // state is per-block, reset by begin_block) and own ping-pong lane
+  // buffers. Built only when blocks run on the interpreter; the array
+  // kernel needs neither.
+  struct Interpreter {
     std::vector<ProcessingElement> pes;
     std::optional<BufferPool::Lease> lease;
     std::vector<float> local_lanes;
     std::span<float> va;
     std::span<float> vb;
+  };
+  const bool interpreted = runs_on_interpreter(cfg);
+  const auto setup = [&](int w, Interpreter& it) {
+    if (!interpreted) return;
     try {
-      pes.reserve(std::size_t(cfg.partime));
-      for (int k = 0; k < cfg.partime; ++k) pes.emplace_back(taps, cfg, k);
+      it.pes.reserve(std::size_t(cfg.partime));
+      for (int k = 0; k < cfg.partime; ++k) it.pes.emplace_back(taps, cfg, k);
       const std::size_t lane = std::size_t(cfg.parvec);
+      std::span<float> lanes;
       if (opts.pool) {
-        lease.emplace(*opts.pool, 2 * lane);
-        va = std::span<float>(lease->buffer()).first(lane);
-        vb = std::span<float>(lease->buffer()).subspan(lane, lane);
+        it.lease.emplace(*opts.pool, 2 * lane);
+        lanes = it.lease->buffer();
       } else {
-        local_lanes.resize(2 * lane);
-        va = std::span<float>(local_lanes).first(lane);
-        vb = std::span<float>(local_lanes).subspan(lane, lane);
+        it.local_lanes.resize(2 * lane);
+        lanes = it.local_lanes;
       }
+      it.va = lanes.first(lane);
+      it.vb = lanes.subspan(lane, lane);
     } catch (...) {
       // The worker must keep participating in the barriers even when its
-      // setup failed, or the coordinator would deadlock; it just claims
-      // no blocks. The error surfaces after the run.
+      // setup failed, or the pass protocol would deadlock; it just claims
+      // no blocks. The error surfaces after the first pass.
       worker_errors[std::size_t(w)] = std::current_exception();
     }
+  };
+
+  // Worker w's share of the current pass: claims blocks until the cursor
+  // runs out or the run unwinds. Runs between the two barriers.
+  const auto stream_pass = [&](int w, Interpreter& it) {
+    if (worker_errors[std::size_t(w)]) return;
+    const Stopwatch busy_clock;
+    Tracer::Span span;
+    if (tel) {
+      span = tel->tracer().span("block_parallel.worker", w, "block_parallel");
+    }
+    try {
+      for (;;) {
+        if (aborted.load(std::memory_order_acquire)) break;
+        if (cancel) cancel->throw_if_cancelled();
+        if (fi && fi->should_fire(FaultSite::kernel_hang)) {
+          // Park on the stall gate exactly like a hung PE; only the
+          // watchdog's unwind releases it. Claim nothing afterwards.
+          fi->stall_until_released();
+          if (aborted.load(std::memory_order_acquire)) break;
+        }
+        const std::int64_t b =
+            pass.next_block.fetch_add(1, std::memory_order_relaxed);
+        if (b >= plan.total_blocks()) break;
+        stream_block(taps, it.pes, plan, block_extent(plan, b), *pass.in,
+                     *pass.out, pass.steps, it.va, it.vb,
+                     worker_stats[std::size_t(w)], cancel);
+        if (dog) dog->kick();
+      }
+    } catch (...) {
+      // Cancellation or a streaming error: stop the siblings too so the
+      // pass unwinds at block granularity, then report through the
+      // per-worker slot (first worker by index wins the rethrow).
+      aborted.store(true, std::memory_order_release);
+      if (fi) fi->release_stalls();
+      worker_errors[std::size_t(w)] = std::current_exception();
+    }
+    if (tel) span.end();
+    worker_busy_ns[std::size_t(w)] += busy_clock.nanoseconds();
+  };
+
+  const auto pool_worker = [&](int w) {
+    Interpreter it;
+    setup(w, it);
     for (;;) {
       start.arrive_and_wait();
       if (pass.done) return;
-      if (!worker_errors[std::size_t(w)]) {
-        const Stopwatch busy_clock;
-        Tracer::Span span;
-        if (tel) {
-          span = tel->tracer().span("block_parallel.worker", w,
-                                    "block_parallel");
-        }
-        try {
-          for (;;) {
-            if (aborted.load(std::memory_order_acquire)) break;
-            if (cancel) cancel->throw_if_cancelled();
-            if (fi && fi->should_fire(FaultSite::kernel_hang)) {
-              // Park on the stall gate exactly like a hung PE; only the
-              // watchdog's unwind releases it. Claim nothing afterwards.
-              fi->stall_until_released();
-              if (aborted.load(std::memory_order_acquire)) break;
-            }
-            const std::int64_t b =
-                pass.next_block.fetch_add(1, std::memory_order_relaxed);
-            if (b >= plan.total_blocks()) break;
-            stream_block(pes, plan, block_extent(plan, b), *pass.in,
-                         *pass.out, pass.steps, va, vb,
-                         worker_stats[std::size_t(w)], cancel);
-            if (dog) dog->kick();
-          }
-        } catch (...) {
-          // Cancellation or a streaming error: stop the siblings too so
-          // the pass unwinds at block granularity, then report through
-          // the per-worker slot (first worker by index wins the rethrow).
-          aborted.store(true, std::memory_order_release);
-          if (fi) fi->release_stalls();
-          worker_errors[std::size_t(w)] = std::current_exception();
-        }
-        if (tel) span.end();
-        worker_busy_ns[std::size_t(w)] += busy_clock.nanoseconds();
-      }
+      stream_pass(w, it);
       finish.arrive_and_wait();
     }
   };
 
   const Stopwatch run_clock;
   std::vector<std::thread> pool_threads;
-  pool_threads.reserve(std::size_t(workers));
-  for (int w = 0; w < workers; ++w) pool_threads.emplace_back(worker_fn, w);
+  pool_threads.reserve(pool_size - 1);
+  for (int w = 1; w < workers; ++w) pool_threads.emplace_back(pool_worker, w);
+  Interpreter caller;
+  setup(0, caller);
 
   GridT* cur = &grid;
   GridT* nxt = &scratch;
@@ -198,6 +220,7 @@ RunStats run_block_parallel_impl(const TapSet& taps,
     pass.next_block.store(0, std::memory_order_relaxed);
     const Stopwatch pass_clock;
     start.arrive_and_wait();   // release the pass to the pool
+    stream_pass(0, caller);
     finish.arrive_and_wait();  // every block of the pass has retired
     for (const std::exception_ptr& e : worker_errors) {
       if (e) failed = true;

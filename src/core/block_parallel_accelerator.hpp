@@ -1,27 +1,30 @@
-// Block-parallel execution: host-side parallelism from overlapped tiling.
+// The block executor: the one pass loop, at one worker or many.
 //
 // Overlapped spatial blocking (paper eq. 2) pads every block with a halo
 // of partime*rad cells per side, which makes each block's full
 // partime-step chain completely independent within a pass: no halo
 // exchange, no ordering constraints between blocks. On the FPGA that
 // independence buys redundancy-free synchronization between PEs; on the
-// host it buys thread-level parallelism. This backend executes the exact
-// BlockingPlan of the synchronous simulator but fans the blocks of each
-// pass out over a pool of worker threads:
+// host it buys thread-level parallelism. The executor streams the blocks
+// of each pass of a BlockingPlan on a pool of workers; the synchronous
+// simulator (StencilAccelerator::run, the sync_sim backend) is the same
+// executor at one worker:
 //
-//   * One worker = one private PE chain + one pair of lane buffers
-//     (leased from RunOptions::pool when set), so workers share nothing
-//     but the two grids and the block cursor.
+//   * The calling thread is worker 0 and the coordinator; a run spawns
+//     workers - 1 threads, so a one-worker run starts none.
+//   * A worker shares nothing but the two grids and the block cursor. On
+//     the array kernel it needs no private state; only on the
+//     interpreter (runs_on_interpreter) does it build a private PE chain
+//     and a pair of lane buffers (leased from RunOptions::pool when set).
 //   * Work stealing: workers claim flat block indices from a shared
 //     atomic cursor, so an uneven last block never idles the pool.
 //   * Passes are barriers: pass k+1 reads cells that pass k wrote into
 //     neighbouring blocks' halo regions, so every block of a pass
 //     retires before the grids ping-pong and the next pass starts.
 //   * Determinism: each block writes only its own compute region
-//     (disjoint by construction of the plan) through the same
-//     stream_block() core as StencilAccelerator, so the output is
-//     bit-exact with the sync simulator -- and therefore with the naive
-//     reference -- for ANY worker count. Pinned by
+//     (disjoint by construction of the plan) through the one
+//     stream_block() core, so the output is bit-exact with the naive
+//     reference for ANY worker count. Pinned by
 //     tests/block_parallel_test.cpp, including under TSan.
 //
 // Scaling trade: more workers want more blocks (smaller bsize), but
@@ -40,14 +43,17 @@ namespace fpga_stencil {
 /// (>= 2 blocks per worker) uses this uncapped request.
 [[nodiscard]] int requested_block_workers(int workers);
 
-/// Workers a block-parallel run of `plan` actually spawns: the request
-/// clamped to the plan's block count, so no worker is born idle.
+/// Workers a run of `plan` actually uses, the calling thread included:
+/// the request clamped to the plan's block count, so no worker is born
+/// idle.
 [[nodiscard]] int resolved_block_workers(const RunOptions& options,
                                          const BlockingPlan& plan);
 
-/// Advances `grid` by `iterations` time steps in place on a worker pool.
-/// Bit-exact with StencilAccelerator::run for the same inputs regardless
-/// of options.workers. Instantiated for Grid2D<float> and Grid3D<float>.
+/// Advances `grid` by `iterations` time steps in place on
+/// resolved_block_workers(options, plan) workers, the calling thread
+/// among them. Bit-exact for the same inputs regardless of
+/// options.workers; StencilAccelerator::run is this at one worker.
+/// Instantiated for Grid2D<float> and Grid3D<float>.
 template <typename GridT>
 RunStats run_block_parallel(const TapSet& taps, const AcceleratorConfig& cfg,
                             GridT& grid, int iterations,

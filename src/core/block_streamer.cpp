@@ -16,78 +16,12 @@ namespace {
 /// the engine promises for cancel().
 constexpr std::int64_t kCancelCheckMask = 511;
 
-/// The fallback counter naming why a block must run on the interpreter,
-/// or null when it runs on the array kernel. The kernel takes any tap
-/// set, radius, parvec and boundary condition, so the only reason left
-/// is an explicit opt-out.
-const char* fallback_reason(const AcceleratorConfig& cfg) {
-  if (!cfg.use_specialized_kernels) return "kernels.dispatch_fallback.disabled";
-  return nullptr;
-}
-
-/// Runs the block on the array kernel, or on the interpreter when
-/// fallback_reason names one. Telemetry, when attached: dispatch and
-/// fallback counters (total and per reason) plus a retired-cell
-/// throughput gauge for kernel blocks.
-template <typename GridT>
-void dispatch_block(std::vector<ProcessingElement>& pes,
-                    const BlockingPlan& plan, const BlockExtent& blk,
-                    const GridT& in, GridT& out, int steps,
-                    std::span<float> va, std::span<float> vb, RunStats& stats,
-                    const CancellationToken* cancel) {
-  FPGASTENCIL_ASSERT(!pes.empty(), "block streamed without a PE chain");
-  const TapSet& taps = pes.front().taps();
-  Telemetry* const tel = plan.config.telemetry;
-  if (const char* reason = fallback_reason(plan.config)) {
-    if (tel) {
-      tel->metrics().counter("kernels.dispatch_fallback").add(1);
-      tel->metrics().counter(reason).add(1);
-    }
-    stream_block_generic(pes, plan, blk, in, out, steps, va, vb, stats,
-                         cancel);
-    return;
-  }
-  const auto run_kernel = [&] {
-    if constexpr (std::is_same_v<GridT, Grid2D<float>>) {
-      run_block_2d(plan, blk, taps, in, out, steps, stats, cancel);
-    } else {
-      run_block_3d(plan, blk, taps, in, out, steps, stats, cancel);
-    }
-  };
-  if (!tel) {
-    run_kernel();
-    return;
-  }
-  tel->metrics().counter("kernels.dispatch_specialized").add(1);
-  const std::int64_t written_before = stats.cells_written;
-  const Stopwatch clock;
-  run_kernel();
-  const std::int64_t ns = clock.nanoseconds();
-  if (ns > 0) {
-    tel->metrics().gauge("kernels.cells_per_s")
-        .set((stats.cells_written - written_before) * 1'000'000'000 / ns);
-  }
-}
-
-}  // namespace
-
-void stream_block(std::vector<ProcessingElement>& pes,
-                  const BlockingPlan& plan, const BlockExtent& blk,
-                  const Grid2D<float>& in, Grid2D<float>& out, int steps,
-                  std::span<float> va, std::span<float> vb, RunStats& stats,
-                  const CancellationToken* cancel) {
-  dispatch_block(pes, plan, blk, in, out, steps, va, vb, stats, cancel);
-}
-
-void stream_block(std::vector<ProcessingElement>& pes,
-                  const BlockingPlan& plan, const BlockExtent& blk,
-                  const Grid3D<float>& in, Grid3D<float>& out, int steps,
-                  std::span<float> va, std::span<float> vb, RunStats& stats,
-                  const CancellationToken* cancel) {
-  dispatch_block(pes, plan, blk, in, out, steps, va, vb, stats, cancel);
-}
-
-void stream_block_generic(std::vector<ProcessingElement>& pes,
+/// The scalar interpreter: the block streams vector by vector through the
+/// PE chain, the FPGA pipeline's dataflow cell for cell. It is the
+/// semantic reference the array kernel is tested against (through
+/// cfg.use_specialized_kernels = false).
+void stream_block_generic(const TapSet& taps,
+                          std::vector<ProcessingElement>& pes,
                           const BlockingPlan& plan, const BlockExtent& blk,
                           const Grid2D<float>& in, Grid2D<float>& out,
                           int steps, std::span<float> va, std::span<float> vb,
@@ -102,8 +36,7 @@ void stream_block_generic(std::vector<ProcessingElement>& pes,
   // backward influence cone (up to partime*radius rows) is fed with real
   // wrapped data before the first retired row emerges. The write index
   // shifts by the same pre-pad, so retired coordinates are unchanged.
-  const bool periodic = !pes.empty() && pes.front().taps().boundary().kind ==
-                                            BoundaryKind::periodic;
+  const bool periodic = taps.boundary().kind == BoundaryKind::periodic;
   const std::int64_t prepad = periodic ? drain : 0;
   const std::int64_t vectors_per_block =
       (plan.cells_streamed_per_pass + prepad * cfg.bsize_x) / cfg.parvec;
@@ -166,7 +99,8 @@ void stream_block_generic(std::vector<ProcessingElement>& pes,
   ++stats.block_passes;
 }
 
-void stream_block_generic(std::vector<ProcessingElement>& pes,
+void stream_block_generic(const TapSet& taps,
+                          std::vector<ProcessingElement>& pes,
                           const BlockingPlan& plan, const BlockExtent& blk,
                           const Grid3D<float>& in, Grid3D<float>& out,
                           int steps, std::span<float> va, std::span<float> vb,
@@ -179,8 +113,7 @@ void stream_block_generic(std::vector<ProcessingElement>& pes,
   const std::int64_t plane = cfg.row_cells();
   // Periodic wrap-extended stream: see the 2D overload. The streamed
   // dimension here is z, so the pre-pad is `drain` ghost planes.
-  const bool periodic = !pes.empty() && pes.front().taps().boundary().kind ==
-                                            BoundaryKind::periodic;
+  const bool periodic = taps.boundary().kind == BoundaryKind::periodic;
   const std::int64_t prepad = periodic ? drain : 0;
   const std::int64_t vectors_per_block =
       (plan.cells_streamed_per_pass + prepad * plane) / cfg.parvec;
@@ -249,6 +182,69 @@ void stream_block_generic(std::vector<ProcessingElement>& pes,
   stats.vectors_processed += vectors_per_block;
   stats.cells_computed += vectors_per_block * cfg.parvec * steps;
   ++stats.block_passes;
+}
+
+/// Runs the block on the array kernel, or on the interpreter when
+/// runs_on_interpreter says so. Telemetry, when attached: dispatch and
+/// fallback counters (total and per reason; the one reason left is the
+/// explicit opt-out, `disabled`) plus a retired-cell throughput gauge for
+/// kernel blocks.
+template <typename GridT>
+void dispatch_block(const TapSet& taps, std::vector<ProcessingElement>& pes,
+                    const BlockingPlan& plan, const BlockExtent& blk,
+                    const GridT& in, GridT& out, int steps,
+                    std::span<float> va, std::span<float> vb, RunStats& stats,
+                    const CancellationToken* cancel) {
+  Telemetry* const tel = plan.config.telemetry;
+  if (runs_on_interpreter(plan.config)) {
+    FPGASTENCIL_ASSERT(std::ssize(pes) == plan.config.partime,
+                       "interpreter block streamed without a PE chain");
+    if (tel) {
+      tel->metrics().counter("kernels.dispatch_fallback").add(1);
+      tel->metrics().counter("kernels.dispatch_fallback.disabled").add(1);
+    }
+    stream_block_generic(taps, pes, plan, blk, in, out, steps, va, vb, stats,
+                         cancel);
+    return;
+  }
+  const auto run_kernel = [&] {
+    if constexpr (std::is_same_v<GridT, Grid2D<float>>) {
+      run_block_2d(plan, blk, taps, in, out, steps, stats, cancel);
+    } else {
+      run_block_3d(plan, blk, taps, in, out, steps, stats, cancel);
+    }
+  };
+  if (!tel) {
+    run_kernel();
+    return;
+  }
+  tel->metrics().counter("kernels.dispatch_specialized").add(1);
+  const std::int64_t written_before = stats.cells_written;
+  const Stopwatch clock;
+  run_kernel();
+  const std::int64_t ns = clock.nanoseconds();
+  if (ns > 0) {
+    tel->metrics().gauge("kernels.cells_per_s")
+        .set((stats.cells_written - written_before) * 1'000'000'000 / ns);
+  }
+}
+
+}  // namespace
+
+void stream_block(const TapSet& taps, std::vector<ProcessingElement>& pes,
+                  const BlockingPlan& plan, const BlockExtent& blk,
+                  const Grid2D<float>& in, Grid2D<float>& out, int steps,
+                  std::span<float> va, std::span<float> vb, RunStats& stats,
+                  const CancellationToken* cancel) {
+  dispatch_block(taps, pes, plan, blk, in, out, steps, va, vb, stats, cancel);
+}
+
+void stream_block(const TapSet& taps, std::vector<ProcessingElement>& pes,
+                  const BlockingPlan& plan, const BlockExtent& blk,
+                  const Grid3D<float>& in, Grid3D<float>& out, int steps,
+                  std::span<float> va, std::span<float> vb, RunStats& stats,
+                  const CancellationToken* cancel) {
+  dispatch_block(taps, pes, plan, blk, in, out, steps, va, vb, stats, cancel);
 }
 
 }  // namespace fpga_stencil

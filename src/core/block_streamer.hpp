@@ -1,30 +1,27 @@
-// The per-block streaming core: read kernel -> PE chain -> write kernel
+// The per-block streaming core: read kernel -> compute -> write kernel
 // for one overlapped block, driven by the collapsed global vector index.
 //
-// This is the code that used to live inline in
-// StencilAccelerator::run_pass. It is factored out because two executors
-// stream blocks: the synchronous simulator (one block after another) and
-// the block-parallel backend (blocks fanned out over a worker pool).
-// Both call these functions, so their outputs are bit-exact with each
-// other by construction, not by coincidence.
+// One executor streams blocks: run_block_parallel, which the synchronous
+// simulator runs at one worker on the calling thread and the
+// block-parallel backend runs on a pool. Every block of
+// every backend goes through stream_block, so their outputs are
+// bit-exact with each other by construction, not by coincidence.
 //
-// stream_block is a dispatcher with one rule: when
+// stream_block is a dispatcher with one rule, runs_on_interpreter: when
 // cfg.use_specialized_kernels (the default) is set, the block runs on the
 // vectorized runtime-tap array kernel (src/kernels), whatever its tap
 // order, radius, parvec or boundary condition; otherwise it runs on the
-// scalar interpreter below. The two
+// scalar interpreter, a chain of `partime` ProcessingElements. The two
 // paths are bit-exact, so every backend (sync, block-parallel,
 // resilient, engine) gets the speedup without a semantic change.
-// stream_block_generic exposes the interpreter directly -- it is the
-// semantic reference the kernel is tested against and the baseline the
-// dispatch microbench measures.
 //
-// A call touches only its arguments: the PE chain and the lane buffers
-// `va`/`vb` (each cfg.parvec floats) must be private to the caller
-// (thread), while `in`/`out` may be shared across concurrent calls --
-// reads are unrestricted and each block writes only its own disjoint
-// compute region. (The array kernel additionally uses a thread-local
-// scratch slab internal to src/kernels.)
+// A call touches only its arguments. On the interpreter the PE chain and
+// the lane buffers `va`/`vb` (each cfg.parvec floats) must be private to
+// the caller (thread); on the array kernel they are unused and may be
+// empty. `in`/`out` may be shared across concurrent calls -- reads are
+// unrestricted and each block writes only its own disjoint compute
+// region. (The array kernel additionally uses a thread-local scratch slab
+// internal to src/kernels.)
 //
 // Cancellation: a non-null `cancel` token is checked every few hundred
 // vectors (interpreter) / every streamed plane (array kernel); a tripped
@@ -39,40 +36,33 @@
 
 #include "common/cancellation.hpp"
 #include "core/stencil_accelerator.hpp"
+#include "pipeline/processing_element.hpp"
 
 namespace fpga_stencil {
 
-/// Streams one 2D block (1.5D blocking: x blocked, y streamed) through
-/// `pes` for a pass of `steps <= partime` time steps, retiring valid
-/// cells of the block's compute region into `out`. Dispatches to the
-/// array kernel unless cfg.use_specialized_kernels is off.
-void stream_block(std::vector<ProcessingElement>& pes,
+/// True when blocks under `cfg` run on the scalar interpreter, and so
+/// need a PE chain and lane buffers: only when the array kernel is
+/// switched off. The one dispatch rule, read by the block executor's worker
+/// setup and by stream_block.
+[[nodiscard]] inline bool runs_on_interpreter(const AcceleratorConfig& cfg) {
+  return !cfg.use_specialized_kernels;
+}
+
+/// Streams one 2D block (1.5D blocking: x blocked, y streamed) of `taps`
+/// for a pass of `steps <= partime` time steps, retiring valid cells of
+/// the block's compute region into `out`. `pes`, `va` and `vb` are read
+/// only when runs_on_interpreter(plan.config).
+void stream_block(const TapSet& taps, std::vector<ProcessingElement>& pes,
                   const BlockingPlan& plan, const BlockExtent& blk,
                   const Grid2D<float>& in, Grid2D<float>& out, int steps,
                   std::span<float> va, std::span<float> vb, RunStats& stats,
                   const CancellationToken* cancel = nullptr);
 
 /// Streams one 3D block (2.5D blocking: x/y blocked, z streamed).
-void stream_block(std::vector<ProcessingElement>& pes,
+void stream_block(const TapSet& taps, std::vector<ProcessingElement>& pes,
                   const BlockingPlan& plan, const BlockExtent& blk,
                   const Grid3D<float>& in, Grid3D<float>& out, int steps,
                   std::span<float> va, std::span<float> vb, RunStats& stats,
                   const CancellationToken* cancel = nullptr);
-
-/// The scalar interpreter, bypassing the array kernel unconditionally.
-/// Semantic reference for tests/kernels_test.cpp and baseline for
-/// bench/microbench_kernel_dispatch.cpp.
-void stream_block_generic(std::vector<ProcessingElement>& pes,
-                          const BlockingPlan& plan, const BlockExtent& blk,
-                          const Grid2D<float>& in, Grid2D<float>& out,
-                          int steps, std::span<float> va, std::span<float> vb,
-                          RunStats& stats,
-                          const CancellationToken* cancel = nullptr);
-void stream_block_generic(std::vector<ProcessingElement>& pes,
-                          const BlockingPlan& plan, const BlockExtent& blk,
-                          const Grid3D<float>& in, Grid3D<float>& out,
-                          int steps, std::span<float> va, std::span<float> vb,
-                          RunStats& stats,
-                          const CancellationToken* cancel = nullptr);
 
 }  // namespace fpga_stencil

@@ -9,6 +9,7 @@
 
 #include "common/stopwatch.hpp"
 #include "fault/watchdog.hpp"
+#include "pipeline/processing_element.hpp"
 #include "pipeline/sync_channel.hpp"
 #include "telemetry/telemetry.hpp"
 

@@ -1,15 +1,18 @@
 // Concurrent dataflow execution of the accelerator.
 //
 // On silicon, the read kernel, every autorun PE, and the write kernel run
-// *simultaneously*, connected by channels. StencilAccelerator emulates that
-// pipeline with an equivalent (and faster) synchronous sweep; this module
+// *simultaneously*, connected by channels. The block executor
+// (run_block_parallel; StencilAccelerator is that executor at one worker)
+// computes the same function block by block, far faster; this module
 // executes the real thing -- one host thread per kernel, blocking
 // SyncChannels between them -- to demonstrate that the design is free of
-// ordering assumptions beyond the channel protocol. Output is bit-exact
-// with both the synchronous simulator and the naive reference (pinned by
-// tests).
+// ordering assumptions beyond the channel protocol. It steps a PE chain
+// on every run; the block executor does so only when the array kernel is
+// off. Output is bit-exact with both the synchronous simulator and the
+// naive reference (pinned by tests).
 //
-// Use StencilAccelerator for speed; use this to study the dataflow.
+// Use StencilAccelerator or run_block_parallel for speed; use this to
+// study the dataflow.
 //
 // Fault tolerance: with a RunOptions carrying a FaultInjector the
 // pass exercises the kernel_hang / channel_stall / seu_bit_flip sites,

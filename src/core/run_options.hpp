@@ -49,7 +49,8 @@ enum class AutotuneMode {
 enum class ExecutionBackend {
   automatic,       ///< router picks; see resolve_backend (engine/run.hpp)
                    ///< and docs/PARALLEL.md for the policy
-  sync_sim,        ///< StencilAccelerator: single-threaded reference sweep
+  sync_sim,        ///< the block executor at one worker on the calling
+                   ///< thread (StencilAccelerator::run)
   concurrent,      ///< run_concurrent: one thread per pipeline stage
   block_parallel,  ///< run_block_parallel: worker pool over overlapped blocks
   resilient,       ///< run_resilient: watchdog/checksum/checkpoint
@@ -78,8 +79,9 @@ struct RunOptions {
   /// Per-channel vector capacity (the OpenCL `depth` attribute);
   /// concurrent/resilient backends.
   std::size_t channel_depth = 64;
-  /// Block-parallel worker threads; 0 means std::thread::hardware_concurrency.
-  /// The pool never spawns more workers than the plan has blocks.
+  /// Block-parallel workers, the calling thread included; 0 means
+  /// std::thread::hardware_concurrency. The pool never uses more workers
+  /// than the plan has blocks.
   int workers = 0;
   /// Fault sites are armed only when an injector is supplied.
   FaultInjector* injector = nullptr;
@@ -95,8 +97,9 @@ struct RunOptions {
   /// completion (the engine's buffer pool threads through here). An
   /// aborted pass drops the storage; the vector is left empty.
   std::vector<float>* scratch = nullptr;
-  /// Lease source for per-worker lane scratch (block-parallel backend);
-  /// null keeps the allocate-per-worker behavior.
+  /// Lease source for per-worker lane scratch, which only interpreter
+  /// runs (use_specialized_kernels off) take; null keeps the
+  /// allocate-per-worker behavior.
   BufferPool* pool = nullptr;
   /// Cooperative cancellation/deadline token. Every backend checks it at
   /// block (or finer) granularity and unwinds with CancelledError /

@@ -2,23 +2,25 @@
 // functional architecture simulator.
 //
 // Mirrors Fig. 2 of the paper: a read kernel streams overlapped spatial
-// blocks from "external memory" (the input grid), a chain of `partime`
-// Processing Elements advances each block one time step per stage, and a
-// write kernel retires the valid (non-halo) cells to the output grid.
+// blocks from "external memory" (the input grid), `partime` stages
+// advance each block one time step per stage, and a write kernel retires
+// the valid (non-halo) cells to the output grid.
 //
 //   * 1.5D blocking for 2D stencils: block in x (bsize_x), stream y.
 //   * 2.5D blocking for 3D stencils: block in x/y, stream z.
 //   * Overlapped blocking: each pass streams bsize-wide blocks that overlap
 //     by 2*partime*rad; no halo exchange between PEs is ever needed.
-//   * The whole pass is driven by a single collapsed loop over a global
+//   * Each block pass is driven by a single collapsed loop over a global
 //     vector index (the paper's loop-collapse / exit-condition
 //     optimization); block/row/lane coordinates are decomposed from it.
 //
 // The accelerator executes any ordered TapSet (the paper's star stencils
 // via StarStencil, box stencils via make_box_stencil, or custom shapes).
-// One `run_pass` advances the grid by up to `partime` time steps; `run`
-// chains ceil(iterations / partime) passes, disabling trailing PEs
-// (delay-only pass-through) on the final partial pass.
+// `run` chains ceil(iterations / partime) passes, the final partial pass
+// running fewer steps. It is the block executor (run_block_parallel,
+// core/block_parallel_accelerator.hpp) at one worker on the calling
+// thread: the sync simulator and the block-parallel backend share one
+// pass loop and one per-block core (core/block_streamer.hpp).
 //
 // The output is bit-exact against the naive reference (`reference_run`)
 // for any configuration and grid size: the integration test suite pins
@@ -30,7 +32,6 @@
 
 #include "common/cancellation.hpp"
 #include "grid/grid.hpp"
-#include "pipeline/processing_element.hpp"
 #include "stencil/accel_config.hpp"
 #include "stencil/star_stencil.hpp"
 #include "stencil/tap_set.hpp"
@@ -134,17 +135,8 @@ class StencilAccelerator {
   [[nodiscard]] const TapSet& taps() const { return taps_; }
 
  private:
-  /// One pass of `steps <= partime` time steps over the whole grid.
-  void run_pass(const Grid2D<float>& in, Grid2D<float>& out, int steps,
-                RunStats& stats, const CancellationToken* cancel);
-  void run_pass(const Grid3D<float>& in, Grid3D<float>& out, int steps,
-                RunStats& stats, const CancellationToken* cancel);
-
   TapSet taps_;
   AcceleratorConfig cfg_;
-  std::vector<ProcessingElement> pes_;
-  // Ping-pong vector buffers reused across cycles.
-  std::vector<float> vec_a_, vec_b_;
 };
 
 }  // namespace fpga_stencil

@@ -120,10 +120,26 @@ std::shared_ptr<const CachedPlan> PlanCache::lookup_or_build(
   }
   plan->config = resolve_stage_lag(taps, clean);
   plan->blocking = make_blocking_plan(plan->config, nx, ny, nz);
-  const std::string source =
-      generate_tap_kernel_source(taps, {plan->config, false});
-  plan->kernel_fingerprint = fnv_bytes(source);
-  plan->kernel_source_bytes = std::int64_t(source.size());
+  if (taps.boundary().is_clamp()) {
+    const std::string source =
+        generate_tap_kernel_source(taps, {plan->config, false});
+    plan->kernel_fingerprint = fnv_bytes(source);
+    plan->kernel_source_bytes = std::int64_t(source.size());
+  } else {
+    // The OpenCL generator emits clamp boundaries only, so there is no
+    // source to hash: the tap set (boundary included) plus the resolved
+    // geometry it would be compiled for name the kernel instead.
+    std::uint64_t h = tap_set_fingerprint(taps);
+    const AcceleratorConfig& c = plan->config;
+    for (const std::int64_t knob :
+         {std::int64_t(c.dims), std::int64_t(c.radius), c.bsize_x, c.bsize_y,
+          std::int64_t(c.parvec), std::int64_t(c.partime),
+          std::int64_t(c.stage_lag)}) {
+      fnv_mix(h, std::uint64_t(knob));
+    }
+    plan->kernel_fingerprint = h;
+    plan->kernel_source_bytes = 0;
+  }
 
   std::lock_guard<std::mutex> lock(mu_);
   ++misses_;

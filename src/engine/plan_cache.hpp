@@ -40,8 +40,11 @@ class CancellationToken;   // common/cancellation.hpp; pointer-only here
 struct CachedPlan {
   AcceleratorConfig config;  ///< stage lag resolved, validated against taps
   BlockingPlan blocking;     ///< decomposition for the keyed extents
-  std::uint64_t kernel_fingerprint = 0;  ///< FNV-1a of the generated source
-  std::int64_t kernel_source_bytes = 0;  ///< size of that source
+  /// FNV-1a of the generated OpenCL source for clamp tap sets; for the
+  /// other boundary conditions, which the generator does not emit, FNV-1a
+  /// of tap_set_fingerprint plus the resolved geometry.
+  std::uint64_t kernel_fingerprint = 0;
+  std::int64_t kernel_source_bytes = 0;  ///< size of that source; 0 if none
 
   /// Autotuning provenance (zeroed when the plan was built with
   /// AutotuneMode::off or the tuner declined). `tuned` means `config`'s

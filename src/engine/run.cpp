@@ -62,11 +62,13 @@ RunStats run(const TapSet& taps, const AcceleratorConfig& cfg, GridT& grid,
     case ExecutionBackend::automatic:
       break;  // resolved above; unreachable
     case ExecutionBackend::sync_sim: {
-      AcceleratorConfig scfg = rcfg;
-      if (options.telemetry) scfg.telemetry = options.telemetry;
-      StencilAccelerator accel(taps, scfg);
-      return accel.run(grid, iterations, options.scratch,
-                       options.cancel.valid() ? &options.cancel : nullptr);
+      // The block executor at one worker, on the calling thread. Like the
+      // sequential sweep it names, it arms no fault site and no watchdog.
+      RunOptions one = options;
+      one.workers = 1;
+      one.injector = nullptr;
+      one.watchdog_deadline = {};
+      return run_block_parallel(taps, rcfg, grid, iterations, one);
     }
     case ExecutionBackend::concurrent:
       return run_concurrent(taps, rcfg, grid, iterations, options);

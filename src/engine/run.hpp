@@ -6,7 +6,9 @@
 //
 //   options.backend          routed to
 //   -----------------------  ------------------------------------------
-//   sync_sim                 StencilAccelerator::run
+//   sync_sim                 run_block_parallel at one worker (what
+//                            StencilAccelerator::run runs); no fault
+//                            site or watchdog is armed
 //   concurrent               run_concurrent
 //   block_parallel           run_block_parallel
 //   resilient                run_resilient (options become .base; the

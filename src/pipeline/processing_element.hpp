@@ -72,10 +72,6 @@ class ProcessingElement {
   [[nodiscard]] int stage() const { return stage_; }
   [[nodiscard]] const AcceleratorConfig& config() const { return cfg_; }
 
-  /// The ordered tap set this PE executes (stream_block hands it to the
-  /// array kernel as runtime data).
-  [[nodiscard]] const TapSet& taps() const { return taps_; }
-
   /// Actual shift-register size for this tap set; equals the paper's
   /// eq. (7) for star stencils, larger for box stencils (corner reach).
   [[nodiscard]] std::int64_t shift_register_size() const {

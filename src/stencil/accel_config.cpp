@@ -6,6 +6,21 @@
 
 namespace fpga_stencil {
 
+namespace {
+
+/// An explicit stage lag must cover the tap set's forward reach in whole
+/// rows, or a stage would read cells its predecessor has not produced.
+void expect_lag_covers_reach(const TapSet& taps, const AcceleratorConfig& cfg) {
+  const std::int64_t row_cells = cfg.row_cells();
+  FPGASTENCIL_EXPECT(
+      taps.forward_reach(cfg.bsize_x, row_cells) <=
+          std::int64_t(cfg.effective_stage_lag()) * row_cells,
+      "stage lag too small for the tap set's forward reach; set "
+      "AcceleratorConfig::stage_lag = ceil(max_flat / row_cells)");
+}
+
+}  // namespace
+
 AcceleratorConfig resolve_stage_lag(const TapSet& taps,
                                     AcceleratorConfig cfg) {
   cfg.validate();
@@ -18,6 +33,7 @@ AcceleratorConfig resolve_stage_lag(const TapSet& taps,
         std::max<std::int64_t>(max_flat, 1), cfg.row_cells());
     cfg.stage_lag = static_cast<int>(std::max<std::int64_t>(rows, 1));
   }
+  expect_lag_covers_reach(taps, cfg);
   return cfg;
 }
 
@@ -26,10 +42,7 @@ ShiftWindow shift_window(const TapSet& taps, const AcceleratorConfig& cfg) {
   ShiftWindow w;
   w.stage_lag = cfg.effective_stage_lag();
   const std::int64_t lag_cells = std::int64_t(w.stage_lag) * row_cells;
-  FPGASTENCIL_EXPECT(
-      taps.forward_reach(cfg.bsize_x, row_cells) <= lag_cells,
-      "stage lag too small for the tap set's forward reach; set "
-      "AcceleratorConfig::stage_lag = ceil(max_flat / row_cells)");
+  expect_lag_covers_reach(taps, cfg);
   w.center_base = -taps.backward_reach(cfg.bsize_x, row_cells);
   w.size = lag_cells + w.center_base + cfg.parvec;
   return w;

@@ -196,9 +196,11 @@ BlockingPlan make_blocking_plan(const AcceleratorConfig& cfg, std::int64_t nx,
 /// set's forward reach (TapSet::forward_reach: every border image, not
 /// just the plain offsets) in whole rows: radius for star stencils,
 /// radius+1 for shapes whose farthest tap crosses a row boundary (box
-/// corners). This is the exact derivation every executor, the engine's
-/// plan cache and the kernel generator share, so a cached plan equals
-/// what StencilAccelerator runs.
+/// corners). An explicit stage_lag too small for that reach throws
+/// ConfigError. This is the exact derivation every executor, the engine's
+/// plan cache and the kernel generator share at their entry, so a cached
+/// plan equals what StencilAccelerator runs and a bad lag is rejected
+/// before any block streams.
 AcceleratorConfig resolve_stage_lag(const TapSet& taps,
                                     AcceleratorConfig cfg);
 
@@ -206,8 +208,8 @@ AcceleratorConfig resolve_stage_lag(const TapSet& taps,
 /// L = cfg.effective_stage_lag(): from the oldest cell any tap's border
 /// image reads back to the newest loaded vector. Shared by the PE
 /// interpreter and the generated OpenCL kernel (STAGE_LAG, CENTER_BASE,
-/// SR_SIZE). Throws ConfigError when L rows do not cover the forward
-/// reach.
+/// SR_SIZE). Throws ConfigError, as resolve_stage_lag does, when L rows
+/// do not cover the forward reach.
 struct ShiftWindow {
   int stage_lag = 0;             ///< L
   std::int64_t center_base = 0;  ///< window index of lane 0's centre

@@ -1,7 +1,8 @@
 // Block-parallel backend tests. The load-bearing property is determinism:
-// the same job must be bit-identical to the synchronous simulator at ANY
-// worker count -- including more workers than blocks, worker counts that
-// do not divide the block count, and partial tail passes. The full sweep
+// the same job must be bit-identical to the naive reference and to the
+// synchronous simulator (the same executor at one worker) at ANY worker
+// count -- including more workers than blocks, worker counts that do not
+// divide the block count, and partial tail passes. The full sweep
 // runs star and box stencils at radius 1-4 in 2D and 3D; the suite is
 // part of the sanitize job, so the worker pool is also exercised under
 // TSan/ASan.
@@ -43,6 +44,9 @@ AcceleratorConfig sweep_config(int dims, int radius) {
 class BlockParallelSweep
     : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
 
+// The sync simulator is the block executor at one worker, so comparing
+// the two alone would compare the executor with itself: every worker count
+// and the sync run are also checked against the naive reference.
 TEST_P(BlockParallelSweep, BitExactWithSyncAtEveryWorkerCount) {
   const auto [dims, radius, box] = GetParam();
   const AcceleratorConfig cfg = sweep_config(dims, radius);
@@ -57,9 +61,13 @@ TEST_P(BlockParallelSweep, BitExactWithSyncAtEveryWorkerCount) {
     Grid2D<float> base(61, 23);
     base.fill_random(radius + (box ? 100 : 0));
     Grid2D<float> want = base;
+    reference_run(taps, want, iters);
+    Grid2D<float> sync = base;
     StencilAccelerator accel(taps, cfg);
-    const RunStats sync_stats = accel.run(want, iters);
+    const RunStats sync_stats = accel.run(sync, iters);
     ASSERT_GT(sync_stats.block_passes, 0);
+    EXPECT_TRUE(compare_exact(sync, want).identical())
+        << "dims=2 rad=" << radius << " box=" << box << " sync";
     for (const int workers : kWorkerCounts) {
       Grid2D<float> g = base;
       const RunStats stats = run_block_parallel(
@@ -79,9 +87,13 @@ TEST_P(BlockParallelSweep, BitExactWithSyncAtEveryWorkerCount) {
     Grid3D<float> base(25, 19, 9);
     base.fill_random(radius + (box ? 100 : 0));
     Grid3D<float> want = base;
+    reference_run(taps, want, iters);
+    Grid3D<float> sync = base;
     StencilAccelerator accel(taps, cfg);
-    const RunStats sync_stats = accel.run(want, iters);
+    const RunStats sync_stats = accel.run(sync, iters);
     ASSERT_GT(sync_stats.block_passes, 0);
+    EXPECT_TRUE(compare_exact(sync, want).identical())
+        << "dims=3 rad=" << radius << " box=" << box << " sync";
     for (const int workers : kWorkerCounts) {
       Grid3D<float> g = base;
       const RunStats stats = run_block_parallel(
@@ -156,25 +168,35 @@ TEST(BlockParallel, BlockExtentEnumeratesThePlan) {
 }
 
 TEST(BlockParallel, PoolLeasesServeWorkerLaneScratch) {
-  const AcceleratorConfig cfg = sweep_config(2, 1);
+  // Lane buffers exist only on the interpreter; the array kernel needs
+  // none, so a kernel run leases nothing.
+  AcceleratorConfig cfg = sweep_config(2, 1);
   const StarStencil s = StarStencil::make_benchmark(2, 1);
   BufferPool pool;
-  Grid2D<float> g(61, 23);
-  g.fill_random(9);
-  Grid2D<float> want = g;
+  Grid2D<float> want(61, 23);
+  want.fill_random(9);
+  const Grid2D<float> initial = want;
+  reference_run(s, want, 4);
   RunOptions opts;
   opts.workers = 4;
   opts.pool = &pool;
+
+  Grid2D<float> k = initial;
+  run_block_parallel(s.to_taps(), cfg, k, 4, opts);
+  EXPECT_TRUE(compare_exact(k, want).identical());
+  EXPECT_EQ(pool.acquires(), 0);  // kernel run: no lane lease
+
+  cfg.use_specialized_kernels = false;
+  Grid2D<float> g = initial;
   run_block_parallel(s.to_taps(), cfg, g, 4, opts);
-  reference_run(s, want, 4);
   EXPECT_TRUE(compare_exact(g, want).identical());
   EXPECT_GE(pool.acquires(), 4);  // one lane lease per worker
   // Leases returned: a second run reuses instead of allocating.
   const std::int64_t allocs = pool.allocations();
-  Grid2D<float> h(61, 23);
-  h.fill_random(9);
+  Grid2D<float> h = initial;
   run_block_parallel(s.to_taps(), cfg, h, 4, opts);
   EXPECT_EQ(pool.allocations(), allocs);
+  EXPECT_EQ(pool.outstanding(), 0);
 }
 
 TEST(BlockParallel, TelemetryRecordsWorkersBlocksAndRedundancy) {
@@ -297,25 +319,31 @@ TEST(EngineBlockParallel, AutomaticRoutingNeedsTwoBlocksPerWorker) {
 // parked on the injector's stall gate (a hung PE) must not deadlock the
 // two-barrier pass protocol -- the watchdog's unwind releases the gate,
 // every sibling drains, and the whole pool retires through both barriers.
+// At one worker the calling thread itself parks on the stall gate, and
+// only the watchdog's thread can release it.
 TEST(BlockParallelWatchdog, StalledWorkerUnwindsWholePoolWithoutDeadlock) {
   const AcceleratorConfig cfg = sweep_config(2, 1);
   const TapSet taps = StarStencil::make_benchmark(2, 1, 7).to_taps();
-  Grid2D<float> g(61, 23);
-  g.fill_random(5);
-  const Grid2D<float> initial = g;
+  Grid2D<float> initial(61, 23);
+  initial.fill_random(5);
 
-  FaultInjector fi(FaultPlan::parse("seed=7,kernel_hang:n=1"));
-  RunOptions opts;
-  opts.workers = 4;  // P >= 2: siblings are mid-pass when the stall hits
-  opts.injector = &fi;
-  opts.watchdog_deadline = std::chrono::milliseconds(100);
-  // The hang fires on the first pass; the watchdog unwinds it. If the
-  // unwind mishandled either barrier this test would hang, not fail.
-  EXPECT_THROW((void)run_block_parallel(taps, cfg, g, 6, opts),
-               PassAbortedError);
-  // No pass completed: the caller's grid is untouched (the aborted pass
-  // wrote only the scratch side).
-  EXPECT_TRUE(compare_exact(g, initial).identical());
+  // 4 workers: siblings are mid-pass when the stall hits.
+  for (const int workers : {1, 4}) {
+    Grid2D<float> g = initial;
+    FaultInjector fi(FaultPlan::parse("seed=7,kernel_hang:n=1"));
+    RunOptions opts;
+    opts.workers = workers;
+    opts.injector = &fi;
+    opts.watchdog_deadline = std::chrono::milliseconds(100);
+    // The hang fires on the first pass; the watchdog unwinds it. If the
+    // unwind mishandled either barrier this test would hang, not fail.
+    EXPECT_THROW((void)run_block_parallel(taps, cfg, g, 6, opts),
+                 PassAbortedError)
+        << "workers=" << workers;
+    // No pass completed: the caller's grid is untouched (the aborted pass
+    // wrote only the scratch side).
+    EXPECT_TRUE(compare_exact(g, initial).identical()) << "workers=" << workers;
+  }
 }
 
 TEST(BlockParallelWatchdog, CleanRunUnderWatchdogStaysBitExact) {

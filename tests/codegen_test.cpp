@@ -189,6 +189,21 @@ TEST(TapCodegen, WindowHoldsEveryBorderImage) {
   EXPECT_EQ(pe.shift_register_size(), 1252);
 }
 
+TEST(TapCodegen, NonClampBoundaryThrows) {
+  // The generator emits clamping selects only: a periodic, reflective or
+  // Dirichlet tap set must not come out as a clamp kernel.
+  const TapSet box = make_box_stencil(2, 1, 3);
+  const CodegenOptions o{cfg(2, 1, 32, 1, 4, 2), false};
+  EXPECT_NO_THROW((void)generate_tap_kernel_source(box, o));
+  for (const BoundaryCondition bc :
+       {BoundaryCondition::periodic(), BoundaryCondition::reflective(),
+        BoundaryCondition::dirichlet(1.5f)}) {
+    EXPECT_THROW((void)generate_tap_kernel_source(box.with_boundary(bc), o),
+                 ConfigError)
+        << bc.describe();
+  }
+}
+
 TEST(TapCodegen, Deterministic) {
   const TapSet box = make_box_stencil(2, 2, 3);
   const CodegenOptions o{cfg(2, 2, 32, 1, 2, 1), true};

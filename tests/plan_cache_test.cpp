@@ -2,6 +2,7 @@
 // buffer pool (reuse accounting, best-fit, retention cap).
 #include <gtest/gtest.h>
 
+#include "codegen/kernel_generator.hpp"
 #include "common/buffer_pool.hpp"
 #include "core/stencil_accelerator.hpp"
 #include "engine/plan_cache.hpp"
@@ -117,6 +118,32 @@ TEST(PlanCache, CachedPlanIsResolvedAndFingerprinted) {
                                               64, 32, 1, nullptr);
   EXPECT_EQ(box_plan->config.stage_lag, 2);
   EXPECT_NE(box_plan->kernel_fingerprint, star_plan->kernel_fingerprint);
+}
+
+TEST(PlanCache, EveryBoundaryConditionFingerprintsItsOwnKernel) {
+  // Only clamp plans have OpenCL source; the other conditions fingerprint
+  // the tap set and geometry instead of a clamp kernel's text.
+  PlanCache cache(8);
+  const TapSet box = make_box_stencil(2, 1, 3);
+  std::vector<std::uint64_t> fingerprints;
+  for (const BoundaryCondition bc :
+       {BoundaryCondition::clamp(), BoundaryCondition::periodic(),
+        BoundaryCondition::reflective(), BoundaryCondition::dirichlet(1.5f)}) {
+    const auto plan = cache.lookup_or_build(box.with_boundary(bc), cfg2d(),
+                                            64, 32, 1, nullptr);
+    EXPECT_NE(plan->kernel_fingerprint, 0u) << bc.describe();
+    // The clamp plan still hashes its generated source.
+    EXPECT_EQ(plan->kernel_source_bytes,
+              bc.is_clamp() ? std::int64_t(generate_tap_kernel_source(
+                                               box, {plan->config, false})
+                                               .size())
+                            : 0)
+        << bc.describe();
+    for (const std::uint64_t other : fingerprints) {
+      EXPECT_NE(plan->kernel_fingerprint, other) << bc.describe();
+    }
+    fingerprints.push_back(plan->kernel_fingerprint);
+  }
 }
 
 /// Runs one 64x32 job on `plan`'s config with telemetry attached and
